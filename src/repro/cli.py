@@ -26,12 +26,9 @@ experiment envelope documented in docs/EXPERIMENTS.md. Unknown
 experiment ids and networks exit with status 2 and print the available
 choices. ``run``/``compare``/``profile``/``faults``/``bench`` take a
 global ``--seed`` that overrides every driver's built-in default
-(docs/FAULTS.md explains the precedence). ``run``/``compare`` take
-``--jobs N`` to simulate independent layers on a multiprocessing pool
-(breakdown-style experiments only; bit-identical to the serial default),
-and ``bench`` times the vectorized hot paths against their
-``slow_reference`` twins, writing a versioned ``BENCH_<date>.json``
-(docs/PERFORMANCE.md).
+(docs/FAULTS.md explains the precedence). ``bench`` times the
+vectorized hot paths against their ``slow_reference`` twins, writing a
+versioned ``BENCH_<date>.json`` (docs/PERFORMANCE.md).
 
 ``explore`` (docs/EXPLORE.md) searches accelerator designs under an
 ``--budget`` area cap and emits the energy/cycles/accuracy Pareto
@@ -41,9 +38,10 @@ and cache flags below.
 Sweep-shaped verbs are **resumable** (docs/RESILIENCE.md): ``run
 fig11/12/13``, ``compare``, ``faults`` and ``explore`` take ``--run-dir
 DIR`` to checkpoint each cell of the sweep into ``DIR`` under a
-manifest, with
-per-cell supervision (``--timeout`` seconds per cell, ``--retries``
-attempts with exponential backoff); a failing cell is recorded as a
+manifest. ``--jobs N`` runs up to N cells at once, each in its own
+supervised worker process; without ``--run-dir`` cells compute serially
+in process. Each cell is supervised (``--timeout`` seconds per cell,
+``--retries`` attempts with exponential backoff); a failing cell is recorded as a
 structured CellError and rendered FAILED instead of aborting (exit
 status 1 flags partial results). ``repro resume DIR`` re-executes only
 the missing/failed cells and reassembles the final envelope
@@ -154,9 +152,9 @@ EXPERIMENTS: Dict[str, tuple] = {
     "fig2": (fig2_accuracy_vs_ratio, "accuracy vs outlier ratio (mini-AlexNet)"),
     "fig3": (fig3_accuracy_networks, "4-bit OAQ accuracy across networks"),
     "tab1": (table1_configurations, "ISO-area configurations"),
-    "fig11": (lambda jobs=1: breakdown_experiment("alexnet", jobs=jobs), "AlexNet cycle/energy breakdown"),
-    "fig12": (lambda jobs=1: breakdown_experiment("vgg16", jobs=jobs), "VGG-16 cycle/energy breakdown"),
-    "fig13": (lambda jobs=1: breakdown_experiment("resnet18", jobs=jobs), "ResNet-18 cycle/energy breakdown"),
+    "fig11": (lambda: breakdown_experiment("alexnet"), "AlexNet cycle/energy breakdown"),
+    "fig12": (lambda: breakdown_experiment("vgg16"), "VGG-16 cycle/energy breakdown"),
+    "fig13": (lambda: breakdown_experiment("resnet18"), "ResNet-18 cycle/energy breakdown"),
     "fig14": (fig14_ratio_sweep, "energy/cycles/accuracy vs outlier ratio"),
     "fig15": (fig15_scalability, "multi-NPU scalability"),
     "fig16": (fig16_outlier_histogram, "effective outlier-activation ratios"),
@@ -164,9 +162,6 @@ EXPERIMENTS: Dict[str, tuple] = {
     "fig18": (fig18_utilization, "utilization breakdown per conv layer"),
     "fig19": (fig19_chunk_cycles, "per-chunk cycle distributions"),
 }
-
-#: Experiments whose runner accepts the ``--jobs`` layer-parallel knob.
-_JOBS_AWARE = {"fig11", "fig12", "fig13"}
 
 
 def _unknown_network(network: str) -> int:
@@ -260,10 +255,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return code or write_code
     envelopes: Dict[str, dict] = {}
     csv_rows: List[dict] = []
-    jobs = getattr(args, "jobs", 1)
     for name in names:
         runner, description = EXPERIMENTS[name]
-        result = runner(jobs=jobs) if name in _JOBS_AWARE else runner()
+        result = runner()
         print(f"== {name} ==")
         print(result.format())
         print()
@@ -295,7 +289,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             args, {"compare": envelope}, experiment_csv_rows(result) if args.csv else []
         )
         return code or write_code
-    result = breakdown_experiment(args.network, ratio=args.ratio, jobs=args.jobs)
+    result = breakdown_experiment(args.network, ratio=args.ratio)
     print(result.format())
     envelopes = {}
     if args.json:
@@ -706,8 +700,9 @@ def _positive_float(text: str) -> float:
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="simulate independent layers on an N-process pool "
-             "(breakdown-style experiments; 1 = serial, the default)",
+        help="run up to N sweep cells at once, each in a supervised worker "
+             "process, when cells are checkpointed (--run-dir, resume, work, "
+             "serve); without a run dir cells compute serially (default 1)",
     )
 
 

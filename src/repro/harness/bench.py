@@ -390,44 +390,4 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
 
-    # -- layer-granularity memo: warm replay vs cold populate -------------
-    # Cold pays every layer's compute plus the fsynced entry stores; warm
-    # replays the network from verified per-layer disk reads with a fresh
-    # SimCache (memory layer empty). Like simcache_warm_sweep, this gates
-    # the replay machinery's cost, not raw simulation speed — the layer
-    # tier's real win is incremental re-simulation (docs/PERFORMANCE.md).
-    from .experiments import simulate_network_layered
-
-    memo_net = "alexnet" if smoke else "resnet101"
-    memo_layers = len(paper_workload(memo_net, ratio=0.03).layers)
-    memo_root = tempfile.mkdtemp(prefix="repro-bench-layermemo-")
-    try:
-        memo_cold, _ = _time(
-            lambda: simulate_network_layered("olaccel16", memo_net, cache=SimCache(root=memo_root)),
-            1,
-            obs,
-            "layer_memo_warm_network/cold",
-        )
-        memo_reps = 3
-        memo_best, memo_mean = _time(
-            lambda: simulate_network_layered("olaccel16", memo_net, cache=SimCache(root=memo_root)),
-            memo_reps,
-            obs,
-            "layer_memo_warm_network",
-        )
-        result.cases.append(
-            BenchCase(
-                name="layer_memo_warm_network",
-                repeats=memo_reps,
-                best_s=memo_best,
-                mean_s=memo_mean,
-                baseline_best_s=memo_cold,
-                baseline_repeats=1,
-                speedup=memo_cold / memo_best if memo_best > 0 else None,
-                meta={"accelerator": "olaccel16", "network": memo_net, "layers": memo_layers},
-            )
-        )
-    finally:
-        shutil.rmtree(memo_root, ignore_errors=True)
-
     return result

@@ -50,7 +50,6 @@ from .workloads import memory_bytes, paper_workload
 
 __all__ = [
     "simulate_cell",
-    "simulate_network_layered",
     "fig1_weight_distributions",
     "fig2_accuracy_vs_ratio",
     "fig3_accuracy_networks",
@@ -103,66 +102,7 @@ def _workload_digest(network: str, ratio: float, workload) -> str:
     return digest
 
 
-def simulate_network_layered(
-    kind: str,
-    network: str,
-    ratio: float = 0.03,
-    cache=None,
-    workload: Optional[NetworkWorkload] = None,
-):
-    """Simulate one network with every layer memoized individually.
-
-    The layer-granularity tier under :func:`simulate_cell`: each layer's
-    :meth:`simulate_layer` result is cached on (accelerator id, full
-    accelerator config, the layer's complete spec — quant bits, outlier
-    ratios and first-layer overrides are baked into its fields by
-    ``paper_workload``'s ``with_ratio`` — fault-plan slice, stats schema,
-    and the code-version salt). A sweep tweak that changes one layer's
-    spec therefore recomputes exactly that layer and replays the rest
-    from cache; identical layers even dedup across networks and (for the
-    ratio-independent first layer) across outlier ratios.
-
-    Layer results are stored **pre-finalize**: the final output's DRAM
-    write is applied here after assembly, exactly as the serial
-    :meth:`simulate_network` and the layer-parallel driver do, so the
-    assembled :class:`RunStats` is bit-identical to both. Lookups land
-    under the ``simcache/layer_*`` counters (``layer_lookups ==
-    layer_hits + layer_misses + layer_bypassed``), disjoint from the
-    cell-level set. Pass an explicit ``workload`` (e.g. one layer
-    replaced via ``dataclasses.replace``) to simulate a modified network
-    against the same cache population.
-    """
-    from ..arch.stats import STATS_SCHEMA_VERSION, LayerStats
-    from .simcache import get_active
-
-    cache = cache if cache is not None else get_active()
-    sim = _simulator(kind, network, ratio)
-    if workload is None:
-        workload = paper_workload(network, ratio=ratio)
-
-    stats = RunStats(accelerator=sim.config.name, network=workload.name)
-    for layer in workload.layers:
-        components = {
-            "cell": "layer",
-            "accelerator": kind,
-            "accel_config": sim.config,
-            "layer": layer,
-            "fault_plan": None,
-            "stats_schema": STATS_SCHEMA_VERSION,
-        }
-        stats.add(
-            cache.memoize(
-                components,
-                lambda layer=layer: sim.simulate_layer(layer),
-                encode=lambda s: s.to_dict(),
-                decode=LayerStats.from_dict,
-                kind="layer",
-            )
-        )
-    return sim.finalize_network(stats, workload)
-
-
-def simulate_cell(kind: str, network: str, ratio: float = 0.03, jobs: int = 1, cache=None):
+def simulate_cell(kind: str, network: str, ratio: float = 0.03, cache=None):
     """Simulate one (accelerator, network) sweep cell through the simcache.
 
     The cache key covers everything the result depends on: the
@@ -173,10 +113,8 @@ def simulate_cell(kind: str, network: str, ratio: float = 0.03, jobs: int = 1, c
     decode through the lossless ``RunStats`` round-trip, so a warm cell
     is byte-identical to a cold one. ``cache=None`` resolves the
     process-wide cache (``--cache-dir``/``--no-cache`` via their
-    environment variables); ``jobs > 1`` computes misses on the
-    layer-parallel pool, the serial default through
-    :func:`simulate_network_layered` so a cell-level miss still reuses
-    any individually memoized layers.
+    environment variables). A miss runs the plain
+    :meth:`simulate_network`.
     """
     from .serialize import run_stats_from_dict
     from .simcache import get_active
@@ -197,16 +135,9 @@ def simulate_cell(kind: str, network: str, ratio: float = 0.03, jobs: int = 1, c
         "stats_schema": STATS_SCHEMA_VERSION,
     }
 
-    def compute() -> RunStats:
-        if jobs > 1:
-            from .parallel import parallel_network_run
-
-            return parallel_network_run(kind, network, ratio=ratio, jobs=jobs)
-        return simulate_network_layered(kind, network, ratio=ratio, cache=cache, workload=workload)
-
     return cache.memoize(
         components,
-        compute,
+        lambda: sim.simulate_network(workload),
         encode=lambda run: run.to_dict(),
         decode=run_stats_from_dict,
     )
@@ -512,16 +443,11 @@ class BreakdownResult:
         return text
 
 
-def breakdown_experiment(network: str, ratio: float = 0.03, jobs: int = 1) -> BreakdownResult:
-    """Figs. 11 (alexnet), 12 (vgg16), 13 (resnet18).
-
-    ``jobs > 1`` simulates each accelerator's layers on a
-    :mod:`multiprocessing` pool (see :mod:`repro.harness.parallel`);
-    results are bit-identical to the serial default.
-    """
+def breakdown_experiment(network: str, ratio: float = 0.03) -> BreakdownResult:
+    """Figs. 11 (alexnet), 12 (vgg16), 13 (resnet18)."""
     result = BreakdownResult(network=network)
     for kind in ALL_ACCELERATORS:
-        result.runs[kind] = simulate_cell(kind, network, ratio=ratio, jobs=jobs)
+        result.runs[kind] = simulate_cell(kind, network, ratio=ratio)
     return result
 
 

@@ -533,7 +533,7 @@ def _measured_accuracy(
     network: str, act_bits: int, weight_bits: int, ratio: float, samples: int
 ) -> Dict[str, Any]:
     """Measured top-1 of the quantized mini model (``--accuracy quant``)."""
-    from ..quant.qmodel import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+    from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
     from .pretrained import default_dataset, trained_mini
 
     mini = MINI_OF.get(network)

@@ -67,7 +67,6 @@ from .coord import (
     default_owner_id,
     safe_cell_filename,
 )
-from .parallel import pool_context
 from .seeding import set_global_seed
 from .serialize import (
     INTEGRITY_KEY,
@@ -623,15 +622,26 @@ class RunDir:
 # ---------------------------------------------------------------------------
 
 
+def pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, shares the warm interpreter), else spawn."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
+
+
 def _cell_worker(conn, kind: str, params: Dict[str, Any]) -> None:
-    """Child-process entry: run one cell, ship (status, payload, counters) back.
+    """Child-process entry: run one cell, ship (status, payload, counters,
+    elapsed_s) back.
 
     The child installs a fresh enabled registry as its process-global one
     so counters recorded inside the cell (notably ``simcache/*`` — the
     cache resolves ``get_registry()`` per lookup) survive the process
     boundary: they ride back as the third message element and the parent
-    merges them into its own registry.
+    merges them into its own registry. The fourth element is the cell's
+    duration from worker entry to result on the monotonic clock, which
+    the parent judges against the deadline.
     """
+    start = time.monotonic()
     from ..obs import Registry, set_registry
 
     worker_obs = Registry()
@@ -643,14 +653,17 @@ def _cell_worker(conn, kind: str, params: Dict[str, Any]) -> None:
     try:
         runner = CELL_RUNNERS.get(kind)
         if runner is None:
-            conn.send(("error", f"no cell runner registered for kind {kind!r}", {}))
+            conn.send(("error", f"no cell runner registered for kind {kind!r}", {}, 0.0))
             return
         from .serialize import to_jsonable
 
-        conn.send(("ok", to_jsonable(runner(params)), counters()))
+        result = to_jsonable(runner(params))
+        conn.send(("ok", result, counters(), time.monotonic() - start))
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", counters()))
+            conn.send(
+                ("error", f"{type(exc).__name__}: {exc}", counters(), time.monotonic() - start)
+            )
         except Exception:
             pass
     finally:
@@ -688,7 +701,10 @@ def _execute_cells(
 
     Each cell gets its own short-lived process (fork where available),
     so a crashed or hung worker is terminated and retried without
-    corrupting a shared pool. ``on_done`` fires once per cell with its
+    corrupting a shared pool. A worker still running past its deadline
+    is killed; a result delivered after the deadline — judged from the
+    cell's own measured duration, not from when this loop polls — is
+    a ``timeout`` too. ``on_done`` fires once per cell with its
     final status (``ok``/``failed``) — that is the checkpoint hook.
 
     With ``coord`` attached, every cell is opened through the lease
@@ -705,6 +721,12 @@ def _execute_cells(
     tiebreak = itertools.count()
     active: Dict[str, Tuple[Any, Any, CellSpec, int, float]] = {}
     jobs = max(1, int(jobs))
+
+    def overran(elapsed_s: float) -> bool:
+        return retry.timeout_s is not None and elapsed_s > retry.timeout_s
+
+    def timeout_outcome() -> Tuple[str, str]:
+        return ("timeout", f"cell exceeded its {retry.timeout_s:g}s timeout")
 
     def finish(spec: CellSpec, status: str, payload: Any, attempt: int) -> None:
         if status == "ok":
@@ -758,16 +780,11 @@ def _execute_cells(
             )
             for cell_id in list(active):
                 proc, recv, spec, attempt, started = active[cell_id]
-                timed_out = (
-                    retry.timeout_s is not None
-                    and (time.monotonic() - started) > retry.timeout_s
-                )
-                if proc.is_alive() and not timed_out:
-                    continue
                 if proc.is_alive():
+                    if not overran(time.monotonic() - started):
+                        continue
                     _terminate(proc)
-                    obs.counter("resilience/timeouts").add()
-                    outcome = ("timeout", f"cell exceeded its {retry.timeout_s:g}s timeout")
+                    outcome = timeout_outcome()
                 else:
                     proc.join()
                     message = None
@@ -776,7 +793,9 @@ def _execute_cells(
                             message = recv.recv()
                     except (EOFError, OSError):
                         message = None
-                    if message is not None and message[0] == "ok":
+                    if message is not None and overran(message[3]):
+                        outcome = timeout_outcome()
+                    elif message is not None and message[0] == "ok":
                         outcome = ("ok", message[1])
                         _merge_worker_counters(obs, message)
                     elif message is not None:
@@ -791,6 +810,8 @@ def _execute_cells(
                 del active[cell_id]
 
                 status, payload = outcome
+                if status == "timeout":
+                    obs.counter("resilience/timeouts").add()
                 if status == "ok":
                     finish(spec, "ok", payload, attempt)
                 elif attempt < retry.max_attempts:

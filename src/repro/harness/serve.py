@@ -78,7 +78,6 @@ from .explore import (
     explore_resume,
     is_explore_run,
 )
-from .parallel import pool_context
 from .remote import RemoteCellBroker
 from .resilience import (
     RetryPolicy,
@@ -86,6 +85,7 @@ from .resilience import (
     breakdown_plan,
     effective_lease_ttl,
     faults_plan,
+    pool_context,
     status_run,
     work_run,
 )

@@ -211,7 +211,6 @@ class SimCache:
         compute: Callable[[], Any],
         encode: Optional[Callable[[Any], Any]] = None,
         decode: Optional[Callable[[Any], Any]] = None,
-        kind: Optional[str] = None,
     ) -> Any:
         """Return the cell's result, computing and storing it on a miss.
 
@@ -225,19 +224,13 @@ class SimCache:
         fresh copy each call; cached state is never aliased to callers.
 
         Every call counts one ``simcache/lookups`` plus exactly one of
-        ``hits``/``misses``/``bypassed``. A non-default ``kind`` (e.g.
-        ``"layer"`` for layer-granularity memoization) prefixes those
-        four counters — ``simcache/layer_lookups`` etc. — so each
-        granularity reconciles on its own; storage-side counters
-        (``stores``, ``corrupt``, ``evictions``) stay shared since the
-        entry files live in one pool.
+        ``hits``/``misses``/``bypassed``.
         """
         encode = encode if encode is not None else to_jsonable
         decode = decode if decode is not None else (lambda doc: doc)
-        prefix = f"{kind}_" if kind else ""
-        self._count(prefix + "lookups")
+        self._count("lookups")
         if not self.enabled:
-            self._count(prefix + "bypassed")
+            self._count("bypassed")
             return decode(encode(compute()))
         key = self.key(components)
         encoded = self._memory_get(key)
@@ -246,9 +239,9 @@ class SimCache:
             if encoded is not None:
                 self._memory_put(key, encoded)
         if encoded is not None:
-            self._count(prefix + "hits")
+            self._count("hits")
             return decode(copy.deepcopy(encoded))
-        self._count(prefix + "misses")
+        self._count("misses")
         encoded = encode(compute())
         self._memory_put(key, encoded)
         self._disk_put(key, encoded, components)

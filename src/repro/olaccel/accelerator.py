@@ -274,11 +274,6 @@ class OLAccelSimulator:
         with self.obs.timer(f"simulate/{network.name}"), self.obs.scope(self.config.name):
             for layer in network.layers:
                 stats.add(self.simulate_layer(layer))
-        return self.finalize_network(stats, network)
-
-    def finalize_network(self, stats: RunStats, network: NetworkWorkload) -> RunStats:
-        """Charge the final output's DRAM write (shared with the
-        layer-parallel driver, which assembles RunStats itself)."""
         if stats.layers:
             last = network.layers[-1]
             stats.layers[-1].energy.dram += self.energy.dram_energy(

@@ -1,5 +1,4 @@
-"""Tests for the `repro bench` harness and the multiprocessing
-layer-parallel mode (both new in the vectorization PR)."""
+"""Tests for the `repro bench` harness and the `--jobs` flag."""
 
 from __future__ import annotations
 
@@ -9,9 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.harness.bench import BENCH_SEED_DEFAULT, default_bench_path, run_benchmarks
-from repro.harness.experiments import ALL_ACCELERATORS, breakdown_experiment
-from repro.harness.parallel import parallel_network_run
-from repro.obs import Registry
 
 PAIRED_CASES = (
     "pack_weights",
@@ -25,7 +21,6 @@ PAIRED_CASES = (
     "pe_group_pass",
     "col2im_backward",
     "simcache_warm_sweep",
-    "layer_memo_warm_network",
 )
 TIMING_ONLY_CASES = ("quantize_weights", "simulate_layer", "simulate_network")
 
@@ -65,8 +60,6 @@ def test_bench_vectorization_wins(smoke_result):
     assert smoke_result.speedup("col2im_backward") > 1.1
     # warm cache replay vs cold fault-cell compute is the largest margin
     assert smoke_result.speedup("simcache_warm_sweep") > 3.0
-    # warm disk replay of layer entries vs cold populate (first run)
-    assert smoke_result.speedup("layer_memo_warm_network") > 1.5
 
 
 def test_bench_seed_resolution():
@@ -120,48 +113,8 @@ def test_bench_cli_smoke_writes_envelope(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# layer-parallel mode
+# --jobs: cell workers only; without --run-dir cells compute serially
 # ---------------------------------------------------------------------------
-
-
-def _runs_equal(a, b):
-    assert a.accelerator == b.accelerator
-    assert a.network == b.network
-    assert len(a.layers) == len(b.layers)
-    for la, lb in zip(a.layers, b.layers):
-        assert la.layer_name == lb.layer_name
-        assert la.cycles == lb.cycles
-        assert la.energy.dram == lb.energy.dram
-        assert la.energy.buffer == lb.energy.buffer
-        assert la.energy.local == lb.energy.local
-        assert la.energy.logic == lb.energy.logic
-
-
-@pytest.mark.parametrize("kind", ["olaccel16", "eyeriss16", "zena8"])
-def test_parallel_run_bit_identical_to_serial(kind):
-    serial = parallel_network_run(kind, "alexnet", jobs=1)
-    parallel = parallel_network_run(kind, "alexnet", jobs=2)
-    _runs_equal(serial, parallel)
-    assert parallel.total_cycles == serial.total_cycles
-    assert parallel.total_energy.total == serial.total_energy.total
-
-
-def test_parallel_obs_counters():
-    obs = Registry()
-    parallel_network_run("olaccel16", "alexnet", jobs=2, obs=obs)
-    snapshot = obs.snapshot()
-    assert snapshot.get("parallel/jobs") == 2
-    assert snapshot.get("parallel/layers", 0) >= 2
-
-
-def test_breakdown_experiment_jobs_matches_serial():
-    serial = breakdown_experiment("alexnet")
-    parallel = breakdown_experiment("alexnet", jobs=2)
-    assert set(serial.runs) == set(parallel.runs) == set(ALL_ACCELERATORS)
-    for kind in ALL_ACCELERATORS:
-        _runs_equal(serial.runs[kind], parallel.runs[kind])
-    assert parallel.normalized_cycles() == serial.normalized_cycles()
-    assert parallel.normalized_energy() == serial.normalized_energy()
 
 
 def test_compare_cli_accepts_jobs(capsys):

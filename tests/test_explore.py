@@ -323,6 +323,22 @@ class TestExploreRun:
         result_proxy, _ = explore_run(_request())
         assert len(result_proxy.frontier) >= len(result.frontier)
 
+    def test_accuracy_quant_measures_top1_of_the_quantized_mini(self, fresh_cache, monkeypatch):
+        from repro.harness import pretrained
+        from repro.nn.zoo_mini import build_mini
+
+        # An untrained mini keeps the test free of training; the measured
+        # path (calibrate, quantize, forward) is the same either way.
+        monkeypatch.setattr(pretrained, "trained_mini", lambda name, **_: build_mini(name))
+        one = DesignSpace(
+            clusters=(4,), groups=(6,), buffers_kib=(96,), ratios=(0.01,),
+            acc_bits=(16,), act_bits=(4,), weight_bits=(4,),
+        )
+        result, _ = explore_run(_request(space=one, accuracy="quant", accuracy_samples=32))
+        (row,) = result.evaluated
+        assert row["accuracy_metric"] == "top1"
+        assert 0.0 <= row["accuracy"] <= 1.0
+
     def test_halving_keeps_ceil_n_over_eta(self, fresh_cache):
         obs = Registry()
         result, _ = explore_run(_request(strategy="halving", eta=4), obs=obs)

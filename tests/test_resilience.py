@@ -21,7 +21,6 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.errors import ArtifactIntegrityError, CellError
-from repro.harness.parallel import _simulate_one, parallel_network_run
 from repro.harness.resilience import (
     KILL_AFTER_ENV,
     PLAN_ASSEMBLERS,
@@ -38,7 +37,7 @@ from repro.harness.resilience import (
     _run_breakdown_cell,
 )
 from repro.harness.report import FAILED, format_failures
-from repro.harness.seeding import global_seed, set_global_seed
+from repro.harness.seeding import set_global_seed
 from repro.harness.serialize import (
     INTEGRITY_KEY,
     atomic_write_text,
@@ -235,6 +234,30 @@ class TestSupervisedPool:
         assert envelope["resilience"]["cells_failed"] == 1
         # the timed-out worker was terminated AND joined — nothing alive
         assert not any(p.is_alive() for p in multiprocessing.active_children())
+
+    def test_deadline_judged_from_measured_cell_duration(self, tmp_path):
+        # Each late cell sleeps past its deadline, then exits and reports
+        # normally. The verdict comes from the cell's own measured
+        # duration, so it cannot depend on whether the supervisor polled
+        # before the worker exited.
+        late = [CellSpec(f"late{i}", "t_sleep", {"s": 0.05}) for i in range(4)]
+        obs = Registry()
+        _, envelope, _, records = execute_sweep(
+            _test_plan(late), tmp_path / "late", jobs=2,
+            retry=_fast_retry(max_attempts=1, timeout_s=0.01), obs=obs,
+        )
+        assert [records[c.cell_id]["error"]["kind"] for c in late] == ["timeout"] * 4
+        assert obs.snapshot()["resilience/timeouts"] == 4
+        assert envelope["resilience"]["cells_failed"] == 4
+        # ...while fast cells under a generous deadline never time out
+        fast = [CellSpec(f"fast{i}", "t_ok", {"x": i}) for i in range(4)]
+        obs = Registry()
+        result, _, _, _ = execute_sweep(
+            _test_plan(fast), tmp_path / "fast", jobs=2,
+            retry=_fast_retry(max_attempts=1, timeout_s=60), obs=obs,
+        )
+        assert result["failed"] == []
+        assert obs.snapshot().get("resilience/timeouts", 0) == 0
 
     def test_retried_cell_is_bit_identical(self, tmp_path):
         """A cell that fails once and succeeds on retry reproduces the
@@ -436,81 +459,7 @@ class TestGracefulDegradation:
         assert envelope["resilience"]["cells_failed"] == 0
 
 
-class TestSeedPropagation:
-    def test_worker_reseeds_from_job(self):
-        set_global_seed(None)
-        _simulate_one(("olaccel16", "alexnet", 0.03, 0, 99))
-        assert global_seed() == 99
-        set_global_seed(None)
-
-    def test_parallel_run_matches_serial_under_seed(self):
-        from repro.harness.experiments import _simulator
-        from repro.harness.workloads import paper_workload
-
-        set_global_seed(123)
-        parallel = parallel_network_run("olaccel16", "alexnet", jobs=2)
-        set_global_seed(123)
-        serial = _simulator("olaccel16", "alexnet", 0.03).simulate_network(
-            paper_workload("alexnet", ratio=0.03)
-        )
-        set_global_seed(None)
-        assert parallel.to_dict() == serial.to_dict()
-
-
 class TestInterruptTeardown:
-    def test_keyboard_interrupt_joins_pool_workers(self, tmp_path):
-        """Regression for the Pool.__exit__-only-terminates bug: SIGINT
-        during imap must terminate AND join the workers — the parent
-        exits promptly and leaves no orphan processes behind."""
-        marker = f"repro-interrupt-test-{os.getpid()}"
-        script = tmp_path / "spin.py"
-        script.write_text(
-            "import sys, time\n"
-            "import repro.harness.parallel as par\n"
-            "def _stall(job):\n"
-            "    time.sleep(120)\n"
-            "par._simulate_one = _stall\n"
-            "print('READY', flush=True)\n"
-            "par.parallel_network_run('olaccel16', 'alexnet', jobs=2)\n"
-        )
-        proc = subprocess.Popen(
-            [sys.executable, str(script), marker],
-            env=CLI_ENV,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "READY"
-            time.sleep(1.5)  # let the pool spin up its sleeping workers
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)  # would hit 120 s if workers weren't torn down
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert proc.returncode != 0
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            if not self._procs_with_marker(marker):
-                break
-            time.sleep(0.1)
-        assert self._procs_with_marker(marker) == []
-
-    @staticmethod
-    def _procs_with_marker(marker):
-        alive = []
-        for pid in os.listdir("/proc"):
-            if not pid.isdigit():
-                continue
-            try:
-                cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
-            except OSError:
-                continue
-            if marker.encode() in cmdline:
-                alive.append(pid)
-        return alive
-
     def test_sigterm_during_sweep_exits_cleanly(self, tmp_path):
         """SIGTERM mid-sweep takes the same teardown path as Ctrl-C:
         exit 130, completed cells checkpointed, no envelope yet, and the

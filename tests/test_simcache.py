@@ -377,83 +377,28 @@ def _timed_warm_sweep(root, rates):
 
 
 # ---------------------------------------------------------------------------
-# layer-granularity memoization
+# one cell path: a breakdown cell miss runs the plain simulate_network
 # ---------------------------------------------------------------------------
 
 
-def _layer_snap(obs: Registry, name: str) -> int:
-    return obs.snapshot().get(f"simcache/layer_{name}", 0)
-
-
-def test_layer_memo_cold_warm_nocache_byte_identical(tmp_path):
-    from repro.harness.experiments import _simulator, simulate_network_layered
+def test_breakdown_stores_one_entry_per_accelerator(tmp_path):
+    from repro.harness.experiments import ALL_ACCELERATORS, _simulator
     from repro.harness.workloads import paper_workload
 
-    runs = {
-        "cold": simulate_network_layered("olaccel16", "alexnet", cache=SimCache(root=tmp_path)),
-        "warm": simulate_network_layered("olaccel16", "alexnet", cache=SimCache(root=tmp_path)),
-        "nocache": simulate_network_layered("olaccel16", "alexnet", cache=SimCache(enabled=False)),
-        "serial": _simulator("olaccel16", "alexnet", 0.03).simulate_network(
-            paper_workload("alexnet", ratio=0.03)
-        ),
-    }
-    blobs = {k: json.dumps(r.to_dict(), sort_keys=True) for k, r in runs.items()}
-    assert blobs["cold"] == blobs["warm"] == blobs["nocache"] == blobs["serial"]
-
-
-def test_layer_memo_single_layer_flip_recomputes_exactly_one(tmp_path):
-    from dataclasses import replace
-
-    from repro.harness.experiments import simulate_network_layered
-    from repro.harness.workloads import paper_workload
+    obs = Registry()
+    runs = {}
+    for label, cache in (
+        ("cold", SimCache(root=tmp_path, obs=obs)),
+        ("warm", SimCache(root=tmp_path)),
+        ("nocache", SimCache(enabled=False)),
+    ):
+        set_active(cache)
+        runs[label] = breakdown_experiment("alexnet").runs
+    assert _snap(obs, "stores") == len(ALL_ACCELERATORS)
+    assert SimCache(root=tmp_path).stats()["entries"] == len(ALL_ACCELERATORS)
 
     workload = paper_workload("alexnet", ratio=0.03)
-    n_layers = len(workload.layers)
-    simulate_network_layered("olaccel16", "alexnet", cache=SimCache(root=tmp_path))
-
-    flipped = replace(workload.layers[1], out_channels=workload.layers[1].out_channels * 2)
-    tweaked = replace(workload, layers=(workload.layers[0], flipped) + workload.layers[2:])
-    obs = Registry()
-    simulate_network_layered(
-        "olaccel16", "alexnet", cache=SimCache(root=tmp_path, obs=obs), workload=tweaked
-    )
-    assert _layer_snap(obs, "lookups") == n_layers
-    assert _layer_snap(obs, "hits") == n_layers - 1
-    assert _layer_snap(obs, "misses") == 1
-    # an accelerator config change flips every layer key
-    obs8 = Registry()
-    simulate_network_layered("olaccel8", "alexnet", cache=SimCache(root=tmp_path, obs=obs8))
-    assert _layer_snap(obs8, "hits") == 0
-    assert _layer_snap(obs8, "misses") == n_layers
-
-
-def test_layer_memo_counters_reconcile_and_stay_disjoint(tmp_path):
-    from repro.harness.workloads import paper_workload
-
-    n_layers = len(paper_workload("alexnet", ratio=0.03).layers)
-    obs = Registry()
-    cache = SimCache(root=tmp_path, obs=obs)
-    simulate_cell("olaccel16", "alexnet", cache=cache)  # cold: cell miss -> layer misses
-    simulate_cell("olaccel16", "alexnet", cache=cache)  # warm: cell hit, layers untouched
-
-    # the cell-level set reconciles on its own
-    assert _snap(obs, "lookups") == _snap(obs, "hits") + _snap(obs, "misses") + _snap(obs, "bypassed")
-    assert _snap(obs, "lookups") == 2 and _snap(obs, "hits") == 1 and _snap(obs, "misses") == 1
-    # the layer-level set reconciles on its own, untouched by the cell hit
-    assert _layer_snap(obs, "lookups") == (
-        _layer_snap(obs, "hits") + _layer_snap(obs, "misses") + _layer_snap(obs, "bypassed")
-    )
-    assert _layer_snap(obs, "lookups") == _layer_snap(obs, "misses") == n_layers
-    # stores are shared across granularities: one cell entry + n layer entries
-    assert _snap(obs, "stores") == n_layers + 1
-
-
-def test_layer_memo_disabled_cache_counts_bypasses(tmp_path):
-    from repro.harness.experiments import simulate_network_layered
-    from repro.harness.workloads import paper_workload
-
-    n_layers = len(paper_workload("alexnet", ratio=0.03).layers)
-    obs = Registry()
-    simulate_network_layered("olaccel16", "alexnet", cache=SimCache(enabled=False, obs=obs))
-    assert _layer_snap(obs, "bypassed") == _layer_snap(obs, "lookups") == n_layers
-    assert _layer_snap(obs, "hits") == _layer_snap(obs, "misses") == 0
+    for kind in ALL_ACCELERATORS:
+        plain = _simulator(kind, "alexnet", 0.03).simulate_network(workload).to_dict()
+        for label, by_kind in runs.items():
+            assert by_kind[kind].to_dict() == plain, (label, kind)
