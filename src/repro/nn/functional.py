@@ -1,9 +1,13 @@
 """Core tensor operations for the numpy neural-network substrate.
 
 All activation tensors use NCHW layout: ``(batch, channels, height, width)``.
-Convolution is implemented through im2col/col2im so both the forward and the
-backward pass reduce to matrix multiplications, which is the only way to get
-acceptable training throughput out of pure numpy.
+Convolution reduces to matrix multiplication, the only way to get acceptable
+throughput out of pure numpy. A training forward pass (``train=True``) goes
+through :func:`im2col` and keeps the patch matrix for the backward pass, which
+scatters gradients back with :func:`col2im`. An inference forward pass keeps no
+backward state: :func:`conv2d` runs one batched GEMM per convolution on a
+``(C*kh*kw, out_h*out_w)`` patch matrix, already in NCHW order, and
+:func:`maxpool2d` takes a running maximum over strided slices.
 
 These functions are the computational substrate everything else builds on:
 the trainable layers in :mod:`repro.nn.layers`, the quantized executor in
@@ -189,12 +193,21 @@ def conv2d(
     bias: np.ndarray | None = None,
     stride: int = 1,
     pad: int = 0,
+    train: bool = False,
 ) -> tuple:
     """2-D convolution.
 
     ``x`` is (N, C_in, H, W); ``weight`` is (C_out, C_in, K_h, K_w). Returns
-    ``(y, cache)`` where ``cache`` carries the im2col matrix for the backward
-    pass.
+    ``(y, cache)``.
+
+    With ``train=True`` the input is unfolded by :func:`im2col` and ``cache``
+    carries that matrix for :func:`conv2d_backward`. With ``train=False``
+    ``cache`` is ``None``: each image's patches are gathered into a
+    ``(C_in*K_h*K_w, out_h*out_w)`` matrix (reduction order (c, kh, kw), as
+    in im2col) and one batched GEMM writes the output directly in NCHW. The
+    two paths sum the same products in a different BLAS order, so they agree
+    to about 1e-13 absolute on float64, not bit for bit; training keeps the
+    im2col path so trained weights do not depend on this.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, k_h, k_w = weight.shape
@@ -203,6 +216,22 @@ def conv2d(
 
     out_h = conv_out_size(h, k_h, stride, pad)
     out_w = conv_out_size(w, k_w, stride, pad)
+
+    if not train:
+        if pad > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+        # Strided view (N, C, kh, kw, oh, ow); the reshape is its one copy.
+        sn, sc, sh, sw = x.strides
+        patches = np.lib.stride_tricks.as_strided(
+            x,
+            shape=(n, c_in, k_h, k_w, out_h, out_w),
+            strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+            writeable=False,
+        ).reshape(n, c_in * k_h * k_w, out_h * out_w)
+        y = np.matmul(weight.reshape(c_out, -1), patches)
+        if bias is not None:
+            y += bias[:, None]
+        return y.reshape(n, c_out, out_h, out_w), None
 
     cols = im2col(x, k_h, k_w, stride, pad)
     w_mat = weight.reshape(c_out, -1)
@@ -261,12 +290,31 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return dy * mask
 
 
-def maxpool2d(x: np.ndarray, kernel: int, stride: int | None = None) -> tuple:
-    """Max pooling with square windows (no padding)."""
+def maxpool2d(
+    x: np.ndarray, kernel: int, stride: int | None = None, train: bool = False
+) -> tuple:
+    """Max pooling with square windows (no padding).
+
+    Returns ``(y, cache)``. With ``train=True`` ``cache`` holds each window's
+    argmax for :func:`maxpool2d_backward`. With ``train=False`` ``cache`` is
+    ``None`` and ``y`` is a running maximum over the ``kernel**2`` strided
+    slices of ``x``; max is exact, so ``y`` is bit-identical either way.
+    """
     stride = kernel if stride is None else stride
     n, c, h, w = x.shape
     out_h = conv_out_size(h, kernel, stride, 0)
     out_w = conv_out_size(w, kernel, stride, 0)
+
+    if not train:
+        h_end, w_end = stride * out_h, stride * out_w
+        y = x[:, :, :h_end:stride, :w_end:stride].copy()
+        for i in range(kernel):
+            for j in range(kernel):
+                if i or j:
+                    # np.maximum returns its second operand on ties, so the
+                    # earliest window element wins, as with argmax (-0.0 vs 0.0).
+                    np.maximum(x[:, :, i : i + h_end : stride, j : j + w_end : stride], y, out=y)
+        return y, None
 
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(

@@ -130,8 +130,7 @@ class Conv2d(Layer):
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         bias = self.bias.value if self.bias is not None else None
         if self.groups == 1:
-            y, cache = F.conv2d(x, self.weight.value, bias, self.stride, self.pad)
-            self._cache = cache if train else None
+            y, self._cache = F.conv2d(x, self.weight.value, bias, self.stride, self.pad, train)
             return y
 
         cin_g = self.in_channels // self.groups
@@ -141,7 +140,7 @@ class Conv2d(Layer):
         for g, xg in enumerate(self._split(x, cin_g)):
             wg = self.weight.value[g * cout_g : (g + 1) * cout_g]
             bg = bias[g * cout_g : (g + 1) * cout_g] if bias is not None else None
-            yg, cg = F.conv2d(xg, wg, bg, self.stride, self.pad)
+            yg, cg = F.conv2d(xg, wg, bg, self.stride, self.pad, train)
             outputs.append(yg)
             caches.append(cg)
         self._cache = caches if train else None
@@ -236,11 +235,12 @@ class MaxPool2d(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        y, cache = F.maxpool2d(x, self.kernel, self.stride)
-        self._cache = cache if train else None
+        y, self._cache = F.maxpool2d(x, self.kernel, self.stride, train)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        if self._cache is None:
+            raise RuntimeError("backward called without a training forward pass")
         return F.maxpool2d_backward(dy, self._cache)
 
 

@@ -17,8 +17,9 @@ def pytest_addoption(parser):
     )
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test's draws never depend on which ran before it."""
     return np.random.default_rng(1234)
 
 

@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -367,35 +366,28 @@ class TestExploreRun:
 
 
 class TestReproducibility:
-    def test_cold_warm_byte_identity_and_speedup(self, tmp_path):
+    def test_cold_warm_byte_identity(self, tmp_path):
+        # Speed is not asserted here: the counters prove the warm run
+        # computed nothing, and the bench-smoke simcache_warm_sweep case
+        # gates how fast that replay is.
         cache_dir = tmp_path / "cache"
         try:
             set_active(SimCache(root=cache_dir))
-            t0 = time.perf_counter()
             obs_cold = Registry()
             _, cold = explore_run(_request(), obs=obs_cold)
-            cold_s = time.perf_counter() - t0
             assert _counter(obs_cold, "explore/cache_hits") == 0
 
             # A fresh SimCache instance: memory layer empty, disk warm.
             set_active(SimCache(root=cache_dir))
-            t0 = time.perf_counter()
             obs_warm = Registry()
             _, warm = explore_run(_request(), obs=obs_warm)
-            warm_s = time.perf_counter() - t0
         finally:
             set_active(None)
 
         assert canonical_envelope_bytes(cold) == canonical_envelope_bytes(warm)
         _assert_reconciles(obs_warm)
         assert _counter(obs_warm, "explore/evaluated") == 0
-        assert _counter(obs_warm, "explore/cache_hits") == len(
-            [r for r in cold["result"]["evaluated"]]
-        )
-        assert warm_s * 5 <= cold_s, (
-            f"warm re-exploration took {warm_s:.3f}s vs cold {cold_s:.3f}s — "
-            "expected at least a 5x speedup from the simcache"
-        )
+        assert _counter(obs_warm, "explore/cache_hits") == len(cold["result"]["evaluated"])
 
     def test_inline_and_run_dir_envelopes_agree(self, tmp_path, fresh_cache):
         _, inline = explore_run(_request())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.layers import Conv2d, MaxPool2d
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -24,36 +25,91 @@ def naive_conv2d(x, w, b, stride, pad):
 
 
 class TestConvForward:
+    """Both forward paths against the direct loop; this class runs inference."""
+
+    train = False
+
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
     def test_matches_naive(self, rng, stride, pad):
         x = rng.normal(size=(2, 3, 9, 9))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        y, _ = F.conv2d(x, w, b, stride, pad)
+        y, _ = F.conv2d(x, w, b, stride, pad, self.train)
         np.testing.assert_allclose(y, naive_conv2d(x, w, b, stride, pad), atol=1e-10)
 
     def test_kernel_1x1(self, rng):
         x = rng.normal(size=(1, 5, 4, 4))
         w = rng.normal(size=(7, 5, 1, 1))
-        y, _ = F.conv2d(x, w, None, 1, 0)
+        y, _ = F.conv2d(x, w, None, 1, 0, self.train)
         assert y.shape == (1, 7, 4, 4)
         np.testing.assert_allclose(y, naive_conv2d(x, w, None, 1, 0), atol=1e-10)
 
     def test_rectangular_input(self, rng):
         x = rng.normal(size=(2, 2, 11, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        y, _ = F.conv2d(x, w, None, 2, 1)
+        y, _ = F.conv2d(x, w, None, 2, 1, self.train)
         assert y.shape == (2, 3, 6, 3)
+        np.testing.assert_allclose(y, naive_conv2d(x, w, None, 2, 1), atol=1e-10)
 
     def test_channel_mismatch_raises(self, rng):
         x = rng.normal(size=(1, 3, 8, 8))
         w = rng.normal(size=(4, 5, 3, 3))
         with pytest.raises(ValueError, match="channels"):
-            F.conv2d(x, w)
+            F.conv2d(x, w, train=self.train)
 
     def test_nonpositive_output_raises(self):
         with pytest.raises(ValueError):
             F.conv_out_size(2, 5, 1, 0)
+
+
+class TestConvForwardTraining(TestConvForward):
+    """The same checks on the im2col path that training takes."""
+
+    train = True
+
+
+class TestInferencePath:
+    """``train=False`` keeps no backward state and computes the same outputs."""
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_conv2d_inference_matches_training_path(self, rng, batch, kernel):
+        x = rng.normal(size=(batch, 6, 13, 13))
+        w = rng.normal(size=(8, 6, kernel, kernel))
+        b = rng.normal(size=8)
+        y_inf, cache_inf = F.conv2d(x, w, b, 1, kernel // 2)
+        y_train, cache_train = F.conv2d(x, w, b, 1, kernel // 2, train=True)
+        assert cache_inf is None and cache_train is not None
+        assert y_inf.flags.c_contiguous
+        np.testing.assert_allclose(y_inf, y_train, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride",
+        [((2, 3, 8, 8), 2, None), ((2, 3, 7, 7), 3, 2), ((1, 4, 13, 9), 3, 2), ((3, 2, 9, 6), 3, 1)],
+    )
+    def test_maxpool2d_inference_is_bit_identical(self, rng, shape, kernel, stride):
+        x = rng.normal(size=shape)
+        # Signed zeros tie under max: both paths must keep the earliest one.
+        x[..., ::3] = np.where(rng.random(x[..., ::3].shape) < 0.5, -0.0, 0.0)
+        y_inf, cache_inf = F.maxpool2d(x, kernel, stride)
+        y_train, _ = F.maxpool2d(x, kernel, stride, train=True)
+        assert cache_inf is None
+        assert np.array_equal(y_inf, y_train)
+        assert np.array_equal(np.signbit(y_inf), np.signbit(y_train))
+
+    @pytest.mark.parametrize(
+        "layer",
+        [Conv2d(4, 6, 3, pad=1), Conv2d(4, 6, 3, pad=1, groups=2), MaxPool2d(2)],
+        ids=["conv", "conv_groups2", "maxpool"],
+    )
+    def test_layers_keep_no_cache_outside_training(self, rng, layer):
+        x = rng.normal(size=(2, 4, 6, 6))
+        y = layer.forward(x, train=False)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="training forward pass"):
+            layer.backward(np.ones_like(y))
+        layer.forward(x, train=True)
+        assert layer.backward(np.ones_like(y)).shape == x.shape
 
 
 class TestConvBackward:
@@ -61,7 +117,7 @@ class TestConvBackward:
         x = rng.normal(size=(2, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        y, cache = F.conv2d(x, w, b, stride=1, pad=1)
+        y, cache = F.conv2d(x, w, b, stride=1, pad=1, train=True)
         dy = rng.normal(size=y.shape)
         dx, dw, db = F.conv2d_backward(dy, cache)
 
@@ -114,7 +170,7 @@ class TestPooling:
 
     def test_maxpool_backward_routes_to_argmax(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
-        y, cache = F.maxpool2d(x, 2)
+        y, cache = F.maxpool2d(x, 2, train=True)
         dy = np.ones_like(y)
         dx = F.maxpool2d_backward(dy, cache)
         assert dx.sum() == pytest.approx(dy.sum())

@@ -583,7 +583,7 @@ def test_conv2d_backward_gradients_unchanged_by_fast_path():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((4, 2, 3, 3))
-    y, cache = F.conv2d(x, w, stride=1, pad=1)
+    y, cache = F.conv2d(x, w, stride=1, pad=1, train=True)
     dy = rng.standard_normal(y.shape)
     dx, dw, db = F.conv2d_backward(dy, cache)
     # reference dx through the slow col2im on the same dcols
