@@ -68,7 +68,12 @@ on restart. Workers on *other machines* join with ``repro work
 the HTTP work-dispatch protocol (docs/REMOTE.md) — and ``repro status
 --connect`` renders every job's per-cell table the same way; ``repro
 serve --workers 0`` runs the server as a pure coordinator whose cells
-are computed entirely by such remote workers.
+are computed entirely by such remote workers. Both modes of ``repro
+work`` run their cells through the same supervised pool, so
+``--jobs``/``--timeout``/``--retries`` and the cache flags mean the
+same in each; a flag of the other mode (``--lease-ttl``,
+``--heartbeat``, ``--no-verify``, ``--json`` with ``--connect``;
+``--linger``, ``--request-timeout`` without it) exits 2.
 
 Sweep cells are additionally **memoized** (docs/PERFORMANCE.md):
 ``run``/``compare``/``faults``/``bench``/``explore``/``resume`` take
@@ -130,7 +135,6 @@ from .harness.resilience import (
     breakdown_plan,
     execute_sweep,
     faults_plan,
-    resume_run,
     status_run,
     work_run,
 )
@@ -487,6 +491,17 @@ def _cmd_work(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # A flag of the other mode exits 2 instead of being silently ignored:
+    # the server's lease document sets a remote claim's TTL and
+    # heartbeat, and a remote worker has no local run dir or envelope.
+    if args.connect:
+        mode, others = "--connect URL", ("--lease-ttl", "--heartbeat", "--no-verify", "--json")
+    else:
+        mode, others = "RUN_DIR", ("--linger", "--request-timeout")
+    given = [flag for flag in others if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        print(f"error: repro work {mode} does not take {', '.join(given)}", file=sys.stderr)
+        return 2
     owner = default_owner_id()
     if args.connect:
         return _remote_work(args, owner)
@@ -496,12 +511,16 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 def _remote_work(args: argparse.Namespace, owner: str) -> int:
     """``repro work --connect``: drain a remote server's cells over HTTP
-    with no shared filesystem (docs/REMOTE.md)."""
+    with no shared filesystem (docs/REMOTE.md), through the same
+    supervised pool as local sweeps."""
     from .errors import RemoteProtocolError
     from .harness.remote import RemoteClient, RemoteWorker
 
     try:
-        client = RemoteClient(args.connect, timeout_s=args.request_timeout)
+        client = RemoteClient(
+            args.connect,
+            timeout_s=10.0 if args.request_timeout is None else args.request_timeout,
+        )
     except RemoteProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -509,8 +528,9 @@ def _remote_work(args: argparse.Namespace, owner: str) -> int:
     worker = RemoteWorker(
         client,
         owner=owner,
-        attempts=args.retries,
-        linger_s=args.linger,
+        jobs=args.jobs,
+        retry=_retry_policy(args),
+        linger_s=0.0 if args.linger is None else args.linger,
     )
     return worker.run()
 
@@ -973,19 +993,22 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of a shared filesystem (docs/REMOTE.md)",
     )
     work.add_argument(
-        "--request-timeout", type=_positive_float, default=10.0, metavar="S",
-        help="per-HTTP-request timeout for --connect (default 10)",
+        "--request-timeout", type=_positive_float, default=None, metavar="S",
+        help="--connect only: per-HTTP-request timeout (default 10)",
     )
     work.add_argument(
-        "--linger", type=float, default=0.0, metavar="S",
-        help="with --connect, keep polling an idle server this long "
+        "--linger", type=float, default=None, metavar="S",
+        help="--connect only: keep polling an idle server this long "
              "before exiting 0 (default 0: exit on first idle answer)",
     )
     work.add_argument(
-        "--no-verify", action="store_true",
-        help="skip artifact digest verification when reading checkpointed cells",
+        "--no-verify", action="store_true", default=None,
+        help="RUN_DIR only: skip artifact digest verification when reading "
+             "checkpointed cells",
     )
-    work.add_argument("--json", metavar="PATH", help="also write the final envelope here")
+    work.add_argument(
+        "--json", metavar="PATH", help="RUN_DIR only: also write the final envelope here"
+    )
     work.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-cell timeout in seconds (default none)",

@@ -38,15 +38,18 @@ matrix.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import os
 import signal
 import socket
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ArtifactIntegrityError, LeaseError, StaleOwnerError
 from ..obs import NULL_REGISTRY, Registry
@@ -117,9 +120,6 @@ def maybe_kill(env: str, done: int) -> None:
     kill_after = os.environ.get(env)
     if kill_after and done >= int(kill_after):
         os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
-
-
-_maybe_kill = maybe_kill  # internal spelling kept for existing call sites
 
 
 def _owner_alive(owner: str) -> Optional[bool]:
@@ -384,7 +384,7 @@ class LeaseManager:
         self._claim_t0[lease.cell_id] = self.clock()
         self._count("claimed")
         self._claims += 1
-        _maybe_kill(KILL_AFTER_CLAIMS_ENV, self._claims)
+        maybe_kill(KILL_AFTER_CLAIMS_ENV, self._claims)
 
     # -- renewing -----------------------------------------------------------
 
@@ -421,7 +421,7 @@ class LeaseManager:
         save_json(lease.to_dict(), self.lease_path(cell_id))
         self._count("heartbeats")
         self._renewals += 1
-        _maybe_kill(KILL_AFTER_HEARTBEATS_ENV, self._renewals)
+        maybe_kill(KILL_AFTER_HEARTBEATS_ENV, self._renewals)
         return lease
 
     # -- releasing ----------------------------------------------------------
@@ -484,21 +484,28 @@ class CellCoordinator:
     """The lease protocol as the supervised pool speaks it.
 
     One instance per :func:`~repro.harness.resilience.execute_sweep`
-    invocation. ``rundir`` is duck-typed (anything with ``leases_dir``,
-    ``read_cell`` and ``write_cell_exclusive`` — in practice a
+    invocation, over the sweep's not-yet-ok ``cells``. ``rundir`` is
+    duck-typed (anything with ``leases_dir``, ``read_cell`` and
+    ``write_cell_exclusive`` — in practice a
     :class:`~repro.harness.resilience.RunDir`), which keeps this module
     free of an import cycle with the resilience layer above it.
 
-    The pool calls :meth:`begin` before launching a cell (claim, adopt
-    a finished record, or defer), :meth:`tick` every poll iteration
-    (heartbeats for every held lease, including cells waiting out retry
-    backoff), :meth:`commit` when a cell reaches a final status, and
-    :meth:`abandon_all`/:meth:`finalize` on teardown.
+    It implements the coordinator interface the supervisor
+    (``resilience._execute_cells``) drives: :meth:`next_cell` hands out
+    the next claimed cell (adopting records other workers finished and
+    deferring cells validly leased elsewhere), :meth:`tick` heartbeats
+    every held lease — including cells waiting out retry backoff —,
+    :meth:`commit` records a final status and settles its claim, and
+    :meth:`abandon_all` releases everything on teardown. ``records``
+    collects every durable record this drain saw, seeded with the
+    caller's already-ok ones; :meth:`finalize` ends the drain.
     """
 
     def __init__(
         self,
         rundir: Any,
+        cells: Sequence[Any] = (),
+        records: Optional[Dict[str, Dict[str, Any]]] = None,
         owner: Optional[str] = None,
         ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
@@ -506,6 +513,8 @@ class CellCoordinator:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.rundir = rundir
+        self._cells = list(cells)
+        self.records: Dict[str, Dict[str, Any]] = dict(records or {})
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.heartbeat_s = float(heartbeat_s)
         self.leases = LeaseManager(
@@ -521,15 +530,15 @@ class CellCoordinator:
         #: feeding the staleness clock
         self.poll_s = max(0.05, min(1.0, self.heartbeat_s))
         self._clock = clock
+        self._queue = deque(self._cells)
+        self._deferred: List[Tuple[float, int, Any]] = []  # heap: (ready, seq, spec)
+        self._seq = itertools.count()
         self._due: Dict[str, float] = {}
         self._lost: set = set()
 
     @property
     def owner(self) -> str:
         return self.leases.owner
-
-    def holds(self, cell_id: str) -> bool:
-        return self.leases.holds(cell_id)
 
     def begin(self, spec: Any) -> Tuple[str, Any]:
         """Open a cell: ``("done", record)`` — another worker already
@@ -543,6 +552,28 @@ class CellCoordinator:
             return "wait", self.poll_s
         self._due[spec.cell_id] = self._clock() + self.heartbeat_s
         return "lease", lease
+
+    def next_cell(self) -> Union[Any, float, None]:
+        """The next cell to run under a fresh lease, the seconds to wait
+        before asking again (every remaining cell is leased elsewhere),
+        or ``None`` once every cell is claimed or adopted."""
+        while self._queue or self._deferred:
+            if self._queue:
+                spec = self._queue.popleft()
+            else:
+                delay = self._deferred[0][0] - self._clock()
+                if delay > 0:
+                    return delay
+                spec = heapq.heappop(self._deferred)[2]
+            verdict, payload = self.begin(spec)
+            if verdict == "lease":
+                return spec
+            if verdict == "done":
+                self.obs.counter("resilience/cells_adopted").add()
+                self.records[spec.cell_id] = payload
+            else:
+                heapq.heappush(self._deferred, (self._clock() + payload, next(self._seq), spec))
+        return None
 
     def tick(self) -> None:
         """Renew every held lease that is due. A stolen lease is marked
@@ -580,6 +611,7 @@ class CellCoordinator:
         self._due.pop(spec.cell_id, None)
         self._lost.discard(spec.cell_id)
         self.leases.release(spec.cell_id, "completed")
+        self.records[spec.cell_id] = record
         return record
 
     def abandon_all(self) -> None:
@@ -588,9 +620,11 @@ class CellCoordinator:
         self._due.clear()
         self._lost.clear()
 
-    def finalize(self, all_recorded: bool) -> int:
+    def finalize(self) -> int:
         """End-of-drain housekeeping: settle leftovers, and once every
         cell has a durable record sweep the leases directory empty —
         the zero-orphaned-lease-files guarantee."""
         self.abandon_all()
-        return self.leases.cleanup() if all_recorded else 0
+        if all(spec.cell_id in self.records for spec in self._cells):
+            return self.leases.cleanup()
+        return 0

@@ -24,11 +24,15 @@ worker's behalf against the same lease files local workers contend on:
 
 Server-side accounting lands under ``remote/*`` and reconciles exactly:
 ``claims == completed + expired + abandoned + active`` (and once a
-drain is over, ``active == 0``). The client is a resilient loop —
-per-request timeouts, capped exponential backoff with jitter, a retry
-budget, graceful degradation on partition: it abandons cleanly,
-reconnects, and re-claims; fencing tokens fence off any zombie.
-docs/REMOTE.md has the full protocol, lifecycle and failure matrix.
+drain is over, ``active == 0``). The client side is
+:class:`RemoteWorker`, which the shared supervised pool
+(``resilience._execute_cells``) drives exactly like the filesystem
+coordinator: cells run forked under the usual timeout and retry
+policy, while the transport adds per-request timeouts, capped
+exponential backoff with jitter and a retry budget; on partition it
+abandons cleanly, reconnects, and re-claims, and fencing tokens fence
+off any zombie. docs/REMOTE.md has the full protocol, lifecycle and
+failure matrix.
 """
 
 from __future__ import annotations
@@ -37,16 +41,15 @@ import http.client
 import json
 import random
 import sys
-import threading
 import time
 import urllib.error
 import urllib.request
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from ..errors import (
     ArtifactIntegrityError,
-    CellError,
     JobError,
     LeaseError,
     RemoteProtocolError,
@@ -63,7 +66,15 @@ from .coord import (
     default_owner_id,
     maybe_kill,
 )
-from .resilience import CELL_RUNNERS, KILL_AFTER_ENV, CellSpec, RunDir, SweepPlan
+from .resilience import (
+    KILL_AFTER_ENV,
+    CellSpec,
+    RetryPolicy,
+    RunDir,
+    SweepPlan,
+    _execute_cells,
+    _sigterm_guard,
+)
 from .serialize import to_jsonable
 
 __all__ = [
@@ -221,66 +232,37 @@ class RemoteClient:
 
 
 # ---------------------------------------------------------------------------
-# The remote worker loop
+# The remote worker: an HTTP coordinator for the shared supervisor
 # ---------------------------------------------------------------------------
 
 
-class _Heartbeater(threading.Thread):
-    """Renews one claim's lease every interval while the cell computes.
+@dataclass
+class _Held:
+    """One claim the worker holds: where to renew and settle it."""
 
-    A missed beat (transport fault) is counted and retried at the next
-    interval — the TTL absorbs gaps. A structured rejection (409 stale
-    token / stolen lease, 404/410 settled claim) sets ``lost`` and
-    stops: the lease is gone for good, but the worker still finishes
-    its attempt and uploads — the first durable record settles who won.
-    """
-
-    def __init__(self, worker: "RemoteWorker", claim_id: str, token: int, interval_s: float):
-        super().__init__(daemon=True)
-        self.worker = worker
-        self.claim_id = claim_id
-        self.token = token
-        self.interval_s = max(0.05, float(interval_s))
-        self.lost = threading.Event()
-        self._halt = threading.Event()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join()
-
-    def run(self) -> None:
-        body = {
-            "schema": HEARTBEAT_SCHEMA,
-            "worker": self.worker.owner,
-            "token": self.token,
-        }
-        while not self._halt.wait(self.interval_s):
-            try:
-                status, _ = self.worker.client.request(
-                    "POST", f"/cells/{self.claim_id}/heartbeat", body, retries=0
-                )
-            except RemoteProtocolError:
-                self.worker.obs.counter("remote/heartbeat_misses").add()
-                continue
-            if status == 200:
-                self.worker._note_heartbeat()
-            else:
-                self.worker.obs.counter("remote/lease_lost").add()
-                self.lost.set()
-                return
+    claim_id: str
+    worker: str
+    token: int
+    heartbeat_s: float
+    due: float
+    lost: bool = False
 
 
 class RemoteWorker:
     """Drain a remote server's cells until it reports itself idle.
 
-    The loop: claim → simulate locally (through the ordinary
-    :data:`CELL_RUNNERS` registry, heartbeating in a side thread) →
-    upload at-least-once → repeat. Partition tolerance is layered: each
-    request retries behind the client's backoff; ``max_failures``
-    *consecutive* failed claim rounds make the worker give up (exit 3).
-    A lost lease or failed upload abandons the attempt cleanly — the
-    server's TTL/steal machinery re-offers the cell, and
-    ``write_cell_exclusive`` makes any zombie upload harmless.
+    A remote worker is the shared supervisor (``resilience._execute_cells``)
+    driving this class as its coordinator over HTTP: every cell runs in
+    its own worker process under ``retry`` (per-cell timeout, bounded
+    attempts), up to ``jobs`` at once, and SIGTERM abandons every held
+    claim before the worker exits. The coordinator calls map onto the
+    protocol: :meth:`next_cell` is ``POST /cells/claim``, :meth:`tick`
+    heartbeats every held claim that is due, :meth:`commit` is an
+    at-least-once ``PUT /cells/<claim>/result`` and :meth:`abandon_all`
+    a best-effort ``POST /cells/<claim>/abandon`` per held claim. The
+    broker re-delivers a cell to an owner that already holds its lease,
+    so each concurrently held claim goes out under its own identity:
+    ``owner`` for the first, ``owner/1``, ``owner/2``, ... for the rest.
     """
 
     def __init__(
@@ -288,7 +270,8 @@ class RemoteWorker:
         client: RemoteClient,
         owner: Optional[str] = None,
         obs: Optional[Registry] = None,
-        attempts: int = 3,
+        jobs: int = 1,
+        retry: Optional[RetryPolicy] = None,
         max_failures: int = 8,
         linger_s: float = 0.0,
         rng: Optional[random.Random] = None,
@@ -297,194 +280,168 @@ class RemoteWorker:
         self.client = client
         self.owner = owner or default_owner_id()
         self.obs = obs if obs is not None else NULL_REGISTRY
-        self.attempts = max(1, int(attempts))
+        self.jobs = jobs
+        self.retry = retry if retry is not None else RetryPolicy()
         self.max_failures = max(1, int(max_failures))
         self.linger_s = float(linger_s)
         self.rng = rng if rng is not None else random.Random()
         self.stream = stream if stream is not None else sys.stdout
+        self.exit_code = 0
         self._backoff = Backoff(base_s=0.5, cap_s=10.0, rng=self.rng)
+        self._held: Dict[str, _Held] = {}
+        self._failures = 0
+        self._idle_since: Optional[float] = None
         self._beats = 0
         self._claims = 0
         self._completed = 0
         self._abandoned = 0
 
+    def run(self) -> int:
+        """Drain until the server is idle for ``linger_s`` (0), rejects
+        the claim document outright (2), or fails ``max_failures``
+        consecutive claim rounds (3)."""
+        _sigterm_guard(lambda: _execute_cells(self, self.jobs, self.retry, self.obs))
+        return self.exit_code
+
     def _log(self, message: str) -> None:
         print(message, file=self.stream, flush=True)
 
-    def _note_heartbeat(self) -> None:
-        self.obs.counter("remote/heartbeats").add()
-        self._beats += 1
-        maybe_kill(KILL_AFTER_HEARTBEATS_ENV, self._beats)
+    def _claim_failed(self, reason: str) -> Optional[float]:
+        self._failures += 1
+        if self._failures < self.max_failures:
+            return self._backoff.next_delay()
+        self.exit_code = 3
+        self._log(f"giving up after {self._failures} consecutive failed claim rounds: {reason}")
+        return None
 
-    # -- the loop ------------------------------------------------------------
-
-    def run(self) -> int:
-        """Claim/execute/upload until the server is idle (0), the server
-        rejects us outright (2), or it stays unreachable (3)."""
-        failures = 0
-        idle_since: Optional[float] = None
-        while True:
-            try:
-                status, doc = self.client.request(
-                    "POST",
-                    "/cells/claim",
-                    {"schema": CLAIM_REQUEST_SCHEMA, "worker": self.owner},
-                )
-            except RemoteProtocolError as exc:
-                failures += 1
-                self.obs.counter("remote/claim_failures").add()
-                if failures >= self.max_failures:
+    def next_cell(self) -> Union[CellSpec, float, None]:
+        in_use = {held.worker for held in self._held.values()}
+        names = [self.owner] + [f"{self.owner}/{k}" for k in range(1, len(in_use) + 1)]
+        worker = next(name for name in names if name not in in_use)
+        try:
+            status, doc = self.client.request(
+                "POST", "/cells/claim", {"schema": CLAIM_REQUEST_SCHEMA, "worker": worker}
+            )
+        except RemoteProtocolError as exc:
+            self.obs.counter("remote/claim_failures").add()
+            return self._claim_failed(str(exc))
+        if status == 400:
+            # The server rejected the claim document itself — a protocol
+            # bug, not a transient; retrying cannot help.
+            self.exit_code = 2
+            self._log(f"server rejected claim request: {doc.get('message')}")
+            return None
+        if status != 200:
+            # 503 while draining, or anything unexpected: back off.
+            return self._claim_failed(f"server keeps answering {status}")
+        self._failures = 0
+        self._backoff.reset()
+        if not doc.get("cell"):
+            if not doc.get("idle"):
+                self._idle_since = None
+            else:
+                self.obs.counter("remote/idle_polls").add()
+                now = time.monotonic()
+                if self._idle_since is None:
+                    self._idle_since = now
+                if now - self._idle_since >= self.linger_s:
                     self._log(
-                        f"giving up after {failures} consecutive failed claim "
-                        f"rounds: {exc}"
+                        f"server idle; worker {self.owner} done "
+                        f"({self._completed} cells completed, {self._abandoned} abandoned)"
                     )
-                    return 3
-                time.sleep(self._backoff.next_delay())
-                continue
-            if status == 400:
-                # The server rejected the claim document itself — a
-                # protocol bug, not a transient; retrying cannot help.
-                self._log(f"server rejected claim request: {doc.get('message')}")
-                return 2
-            if status != 200:
-                # 503 while draining, or anything unexpected: back off.
-                failures += 1
-                if failures >= self.max_failures:
-                    self._log(f"giving up: server keeps answering {status}")
-                    return 3
-                time.sleep(self._backoff.next_delay())
-                continue
-            failures = 0
-            self._backoff.reset()
-            if not doc.get("cell"):
-                if doc.get("idle"):
-                    self.obs.counter("remote/idle_polls").add()
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    if now - idle_since >= self.linger_s:
-                        self._log(
-                            f"server idle; worker {self.owner} done "
-                            f"({self._completed} cells completed, "
-                            f"{self._abandoned} abandoned)"
-                        )
-                        return 0
-                else:
-                    idle_since = None
-                delay = float(doc.get("retry_after_s") or 0.5)
-                time.sleep(delay * self.rng.uniform(0.8, 1.2))
-                continue
-            idle_since = None
-            self._run_claim(doc)
-
-    # -- one claim -----------------------------------------------------------
-
-    def _run_claim(self, doc: Dict[str, Any]) -> None:
+                    return None
+            return float(doc.get("retry_after_s") or 0.5) * self.rng.uniform(0.8, 1.2)
+        self._idle_since = None
         spec = CellSpec.from_dict(doc["cell"])
-        claim_id = doc["claim_id"]
         lease = doc.get("lease") or {}
-        token = int(lease.get("token", 1))
-        heartbeat_s = float(lease.get("heartbeat_s") or DEFAULT_HEARTBEAT_S)
+        heartbeat_s = max(0.05, float(lease.get("heartbeat_s") or DEFAULT_HEARTBEAT_S))
+        self._held[spec.cell_id] = _Held(
+            claim_id=doc["claim_id"],
+            worker=worker,
+            token=int(lease.get("token", 1)),
+            heartbeat_s=heartbeat_s,
+            due=time.monotonic() + heartbeat_s,
+        )
         self.obs.counter("remote/cells_claimed").add()
         self._claims += 1
         maybe_kill(KILL_AFTER_CLAIMS_ENV, self._claims)
-        beater = _Heartbeater(self, claim_id, token, interval_s=heartbeat_s)
-        beater.start()
-        try:
-            status, payload, error, attempts = self._execute(spec)
-        except BaseException:
-            # Ctrl-C / SIGTERM mid-cell: release the lease promptly so
-            # peers pick the cell up instead of waiting out the TTL.
-            beater.stop()
-            self._abandon(claim_id, token)
-            raise
-        beater.stop()
-        # Upload even when the lease was lost mid-compute: the record
-        # write is exclusive, so the first durable record wins and a
-        # zombie's upload is counted, never corrupting.
-        self._upload(claim_id, token, spec, status, payload, error, attempts)
+        return spec
 
-    def _execute(self, spec: CellSpec) -> Tuple[str, Any, Optional[Dict[str, Any]], int]:
-        runner = CELL_RUNNERS.get(spec.kind)
-        if runner is None:
-            error = CellError(
-                f"no cell runner registered for kind {spec.kind!r}",
-                cell_id=spec.cell_id,
-                kind="exception",
-            ).to_dict()
-            return "failed", None, error, 1
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.attempts + 1):
-            self.obs.counter("remote/cell_attempts").add()
+    def tick(self) -> None:
+        """Renew due claims. A missed beat (transport fault) is counted
+        and retried next interval — the TTL absorbs gaps. A structured
+        rejection (409 stale token or stolen lease, 410 settled claim)
+        marks the claim lost for good, but its attempt still finishes
+        and uploads: the first durable record settles who won."""
+        now = time.monotonic()
+        for held in self._held.values():
+            if held.lost or now < held.due:
+                continue
+            held.due = now + held.heartbeat_s
+            body = {"schema": HEARTBEAT_SCHEMA, "worker": held.worker, "token": held.token}
             try:
-                return "ok", to_jsonable(runner(dict(spec.params))), None, attempt
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                last = exc
-                self.obs.counter("remote/cell_errors").add()
-                if attempt < self.attempts:
-                    time.sleep(min(2.0, 0.25 * (2.0 ** (attempt - 1))))
-        error = CellError(
-            f"{type(last).__name__}: {last}",
-            cell_id=spec.cell_id,
-            kind="exception",
-            attempts=self.attempts,
-        ).to_dict()
-        return "failed", None, error, self.attempts
+                status, _ = self.client.request(
+                    "POST", f"/cells/{held.claim_id}/heartbeat", body, retries=0
+                )
+            except RemoteProtocolError:
+                self.obs.counter("remote/heartbeat_misses").add()
+                continue
+            if status == 200:
+                self.obs.counter("remote/heartbeats").add()
+                self._beats += 1
+                maybe_kill(KILL_AFTER_HEARTBEATS_ENV, self._beats)
+            else:
+                self.obs.counter("remote/lease_lost").add()
+                held.lost = True
 
-    def _upload(
+    def commit(
         self,
-        claim_id: str,
-        token: int,
         spec: CellSpec,
         status: str,
-        payload: Any,
-        error: Optional[Dict[str, Any]],
-        attempts: int,
-    ) -> bool:
+        result: Any = None,
+        error: Optional[Dict[str, Any]] = None,
+        attempts: int = 1,
+    ) -> None:
+        """Upload a final outcome, even when the lease was lost mid-cell:
+        the record write is exclusive, so a zombie's upload is counted,
+        never corrupting. An unreachable or rejected upload abandons the
+        cell — the server's TTL reaper re-offers it."""
+        held = self._held.pop(spec.cell_id)
         body = {
             "schema": RESULT_SCHEMA,
-            "worker": self.owner,
-            "token": token,
+            "worker": held.worker,
+            "token": held.token,
             "status": status,
-            "result": payload,
+            "result": result,
             "error": error,
             "attempts": attempts,
         }
         try:
-            code, doc = self.client.request("PUT", f"/cells/{claim_id}/result", body)
+            code, doc = self.client.request("PUT", f"/cells/{held.claim_id}/result", body)
         except RemoteProtocolError:
-            # Partition during upload: abandon cleanly. The server's TTL
-            # reaper reclaims the lease and the cell is re-offered; a
-            # duplicate of any record that does land later is counted.
+            code, doc = None, {"reason": "unreachable"}
+        if code != 200:
             self._abandoned += 1
             self.obs.counter("remote/cells_abandoned").add()
-            self._log(f"abandoning {spec.cell_id}: result upload unreachable")
-            return False
-        if code == 200:
-            self._completed += 1
-            self.obs.counter("remote/cells_completed").add()
-            if doc.get("duplicate"):
-                self.obs.counter("remote/duplicates").add()
-            maybe_kill(KILL_AFTER_ENV, self._completed)
-            return True
-        self._abandoned += 1
-        self.obs.counter("remote/cells_abandoned").add()
-        self._log(
-            f"abandoning {spec.cell_id}: upload rejected "
-            f"({code} {doc.get('reason') or doc.get('error')})"
-        )
-        return False
+            reason = doc.get("reason") or doc.get("error")
+            self._log(f"abandoning {spec.cell_id}: result upload failed ({code} {reason})")
+            return
+        self._completed += 1
+        self.obs.counter("remote/cells_completed").add()
+        if doc.get("duplicate"):
+            self.obs.counter("remote/duplicates").add()
+        maybe_kill(KILL_AFTER_ENV, self._completed)
 
-    def _abandon(self, claim_id: str, token: int) -> None:
-        try:
-            self.client.request(
-                "POST",
-                f"/cells/{claim_id}/abandon",
-                {"schema": ABANDON_SCHEMA, "worker": self.owner, "token": token},
-                retries=0,
-            )
-        except RemoteProtocolError:
-            pass  # best effort; the TTL reaper covers us
+    def abandon_all(self) -> None:
+        """Release every held claim promptly (Ctrl-C / SIGTERM), so peers
+        pick the cells up instead of waiting out the TTL."""
+        for held in self._held.values():
+            body = {"schema": ABANDON_SCHEMA, "worker": held.worker, "token": held.token}
+            try:
+                self.client.request("POST", f"/cells/{held.claim_id}/abandon", body, retries=0)
+            except RemoteProtocolError:
+                pass  # best effort; the TTL reaper covers us
+        self._held.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,16 @@ a crash, hang, or Ctrl-C loses at most the cell in flight:
   failed, or corrupt cells and reassembles the final envelope
   bit-identically to an uninterrupted run (modulo the fields the
   manifest declares volatile: run id and creation timestamp).
-- **Coordination** — every execution mode (serial, ``--jobs``,
-  ``repro resume``, and N independent ``repro work`` processes
-  draining one run dir) routes through the same lease protocol
-  (:mod:`repro.harness.coord`, docs/COORD.md): cells are claimed via
-  crash-consistent lease files, heartbeat-renewed while simulating,
-  stolen when their owner dies or stalls, and settled by the first
-  durable cell record. A worker that finds a cell finished elsewhere
-  *adopts* the record instead of recomputing.
+- **Coordination** — the supervised pool gets its cells from a
+  coordinator. Every run-dir mode (serial, ``--jobs``, ``repro
+  resume``, and N independent ``repro work`` processes draining one
+  run dir) uses the lease protocol (:mod:`repro.harness.coord`,
+  docs/COORD.md): cells are claimed via crash-consistent lease files,
+  heartbeat-renewed while simulating, stolen when their owner dies or
+  stalls, and settled by the first durable cell record. A worker that
+  finds a cell finished elsewhere *adopts* the record instead of
+  recomputing. ``repro work --connect`` drives the same pool over HTTP
+  (:mod:`repro.harness.remote`, docs/REMOTE.md).
 
 Observability lands under ``resilience/*`` (see docs/RESILIENCE.md for
 the exact counter semantics); the core reconciliation invariant is
@@ -46,11 +48,9 @@ import copy
 import heapq
 import itertools
 import multiprocessing.connection
-import os
 import signal
 import time
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,7 +64,7 @@ from .coord import (
     LEASES_DIR,
     CellCoordinator,
     LeaseManager,
-    default_owner_id,
+    maybe_kill,
     safe_cell_filename,
 )
 from .seeding import set_global_seed
@@ -92,7 +92,6 @@ __all__ = [
     "breakdown_plan",
     "faults_plan",
     "execute_sweep",
-    "resume_run",
     "work_run",
     "status_run",
     "effective_lease_ttl",
@@ -527,9 +526,7 @@ class RunDir:
         }
         path = save_json(record, self.cell_path(spec.cell_id))
         self._written += 1
-        kill_after = os.environ.get(KILL_AFTER_ENV)
-        if kill_after and self._written >= int(kill_after):
-            os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
+        maybe_kill(KILL_AFTER_ENV, self._written)
         return record, path
 
     def write_cell_exclusive(
@@ -688,39 +685,38 @@ def _terminate(proc) -> None:
         proc.join()
 
 
-def _execute_cells(
-    specs: Sequence[CellSpec],
-    jobs: int,
-    retry: RetryPolicy,
-    on_done: Callable[[CellSpec, str, Any, int], None],
-    obs: Registry,
-    coord: Optional[CellCoordinator] = None,
-    on_adopted: Optional[Callable[[CellSpec, Dict[str, Any]], None]] = None,
-) -> Dict[str, Tuple[str, Any, int]]:
-    """Run cells on up to ``jobs`` supervised worker processes.
+def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> None:
+    """Run the cells ``coord`` hands out on up to ``jobs`` supervised workers.
 
-    Each cell gets its own short-lived process (fork where available),
-    so a crashed or hung worker is terminated and retried without
-    corrupting a shared pool. A worker still running past its deadline
-    is killed; a result delivered after the deadline — judged from the
-    cell's own measured duration, not from when this loop polls — is
-    a ``timeout`` too. ``on_done`` fires once per cell with its
-    final status (``ok``/``failed``) — that is the checkpoint hook.
+    This is the one loop that executes cells — for ``--run-dir`` sweeps,
+    ``resume``, ``repro work DIR``, serve's drains and ``repro work
+    --connect`` alike. It talks only to a *coordinator*, which owns
+    claiming and recording:
 
-    With ``coord`` attached, every cell is opened through the lease
-    protocol before launch: a cell finished by another worker is
-    *adopted* (``on_adopted``), a cell validly leased elsewhere is
-    deferred and retried (eventually stealing an expired lease), and
-    the poll loop heartbeats every held lease — including across retry
-    backoff, so a slow-but-alive worker is never robbed mid-cell.
+    - ``next_cell()`` — a claimed :class:`CellSpec` to run, a delay in
+      seconds before asking again, or ``None`` once drained;
+    - ``tick()`` — called every poll iteration to renew held claims,
+      including cells waiting out retry backoff;
+    - ``commit(spec, status, result=..., error=..., attempts=...)`` —
+      settles a cell's final ``ok``/``failed`` outcome;
+    - ``abandon_all()`` — releases every held claim on teardown.
+
+    :class:`~repro.harness.coord.CellCoordinator` implements it over
+    lease files, :class:`~repro.harness.remote.RemoteWorker` over
+    HTTP. Each cell attempt gets its own short-lived process (fork where
+    available), so a crashed or hung worker is terminated and retried
+    without corrupting a shared pool. A worker still running past its
+    deadline is killed; a result delivered after the deadline — judged
+    from the cell's own measured duration, not from when this loop
+    polls — is a ``timeout`` too.
     """
     ctx = pool_context()
-    results: Dict[str, Tuple[str, Any, int]] = {}
-    queue = deque((spec, 1) for spec in specs)
     backlog: List[Tuple[float, int, CellSpec, int]] = []  # (ready, tiebreak, spec, attempt)
     tiebreak = itertools.count()
     active: Dict[str, Tuple[Any, Any, CellSpec, int, float]] = {}
     jobs = max(1, int(jobs))
+    ask_at = 0.0  # monotonic instant before which next_cell() is not asked again
+    drained = False
 
     def overran(elapsed_s: float) -> bool:
         return retry.timeout_s is not None and elapsed_s > retry.timeout_s
@@ -728,51 +724,35 @@ def _execute_cells(
     def timeout_outcome() -> Tuple[str, str]:
         return ("timeout", f"cell exceeded its {retry.timeout_s:g}s timeout")
 
-    def finish(spec: CellSpec, status: str, payload: Any, attempt: int) -> None:
-        if status == "ok":
-            obs.counter("resilience/cells_succeeded").add()
-        else:
-            obs.counter("resilience/cells_failed").add()
-        results[spec.cell_id] = (status, payload, attempt)
-        on_done(spec, status, payload, attempt)
+    def launch(spec: CellSpec, attempt: int) -> None:
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_cell_worker, args=(send, spec.kind, spec.params), daemon=True)
+        proc.start()
+        send.close()
+        active[spec.cell_id] = (proc, recv, spec, attempt, time.monotonic())
+        obs.counter("resilience/attempts").add()
 
     try:
-        while queue or backlog or active:
-            if coord is not None:
-                coord.tick()
+        while True:
+            coord.tick()
             now = time.monotonic()
-            while backlog and backlog[0][0] <= now:
+            while backlog and backlog[0][0] <= now and len(active) < jobs:
                 _, _, spec, attempt = heapq.heappop(backlog)
-                queue.append((spec, attempt))
-            while queue and len(active) < jobs:
-                spec, attempt = queue.popleft()
-                if coord is not None and not coord.holds(spec.cell_id):
-                    verdict, payload = coord.begin(spec)
-                    if verdict == "done":
-                        obs.counter("resilience/cells_adopted").add()
-                        results[spec.cell_id] = ("adopted", payload, 0)
-                        if on_adopted is not None:
-                            on_adopted(spec, payload)
-                        continue
-                    if verdict == "wait":
-                        heapq.heappush(
-                            backlog,
-                            (time.monotonic() + payload, next(tiebreak), spec, attempt),
-                        )
-                        continue
-                if attempt == 1:
+                launch(spec, attempt)
+            while not drained and ask_at <= now and len(active) < jobs:
+                cell = coord.next_cell()
+                if cell is None:
+                    drained = True
+                elif isinstance(cell, CellSpec):
                     obs.counter("resilience/cells_attempted").add()
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_cell_worker, args=(send, spec.kind, spec.params), daemon=True
-                )
-                proc.start()
-                send.close()
-                active[spec.cell_id] = (proc, recv, spec, attempt, time.monotonic())
-                obs.counter("resilience/attempts").add()
+                    launch(cell, 1)
+                else:
+                    ask_at = time.monotonic() + cell
             if not active:
-                if backlog:
-                    time.sleep(max(0.0, min(0.05, backlog[0][0] - time.monotonic())))
+                wakes = ([] if drained else [ask_at]) + ([backlog[0][0]] if backlog else [])
+                if not wakes:
+                    return
+                time.sleep(max(0.0, min(0.05, min(wakes) - time.monotonic())))
                 continue
 
             multiprocessing.connection.wait(
@@ -813,7 +793,8 @@ def _execute_cells(
                 if status == "timeout":
                     obs.counter("resilience/timeouts").add()
                 if status == "ok":
-                    finish(spec, "ok", payload, attempt)
+                    obs.counter("resilience/cells_succeeded").add()
+                    coord.commit(spec, "ok", result=payload, attempts=attempt)
                 elif attempt < retry.max_attempts:
                     obs.counter("resilience/retries").add()
                     heapq.heappush(
@@ -821,22 +802,21 @@ def _execute_cells(
                         (time.monotonic() + retry.backoff(attempt), next(tiebreak), spec, attempt + 1),
                     )
                 else:
+                    obs.counter("resilience/cells_failed").add()
                     error = CellError(
                         str(payload), cell_id=spec.cell_id, kind=status, attempts=attempt
                     )
-                    finish(spec, "failed", error.to_dict(), attempt)
+                    coord.commit(spec, "failed", error=error.to_dict(), attempts=attempt)
     except BaseException:
         # Clean teardown on Ctrl-C / SIGTERM / anything: no orphan
-        # workers, every completed cell is already checkpointed, and
-        # held leases are relinquished so peers pick the cells up
+        # workers, every completed cell is already committed, and held
+        # claims are relinquished so peers pick the cells up
         # immediately instead of waiting out the TTL.
         for proc, recv, _, _, _ in active.values():
             _terminate(proc)
             recv.close()
-        if coord is not None:
-            coord.abandon_all()
+        coord.abandon_all()
         raise
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -908,68 +888,25 @@ def execute_sweep(
     if resumed:
         obs.counter("resilience/cells_resumed").add(len(pending))
 
-    records: Dict[str, Dict[str, Any]] = dict(done)
     coord = CellCoordinator(
         rd,
+        cells=pending,
+        records=done,
         owner=owner,
         ttl_s=effective_lease_ttl(lease_ttl, heartbeat_s, retry),
         heartbeat_s=heartbeat_s if heartbeat_s is not None else DEFAULT_HEARTBEAT_S,
         obs=obs,
     )
-
-    def on_done(spec: CellSpec, status: str, payload: Any, attempts: int) -> None:
-        if status == "ok":
-            record = coord.commit(spec, "ok", result=payload, attempts=attempts)
-        else:
-            record = coord.commit(spec, "failed", error=payload, attempts=attempts)
-        records[spec.cell_id] = record
-
-    def on_adopted(spec: CellSpec, record: Dict[str, Any]) -> None:
-        records[spec.cell_id] = record
-
     try:
-        if pending:
-            _sigterm_guard(
-                lambda: _execute_cells(
-                    pending,
-                    jobs=jobs,
-                    retry=retry,
-                    on_done=on_done,
-                    obs=obs,
-                    coord=coord,
-                    on_adopted=on_adopted,
-                )
-            )
+        _sigterm_guard(lambda: _execute_cells(coord, jobs=jobs, retry=retry, obs=obs))
     finally:
-        coord.finalize(all_recorded=all(spec.cell_id in records for spec in plan.cells))
+        coord.finalize()
 
+    records = coord.records
     result = PLAN_ASSEMBLERS[plan.plan](plan, records)
     envelope = _resilient_envelope(plan, result, manifest, records)
     save_json(envelope, rd.envelope_path)
     return result, envelope, manifest, records
-
-
-def resume_run(
-    run_dir: Union[str, Path],
-    jobs: int = 1,
-    retry: Optional[RetryPolicy] = None,
-    obs: Optional[Registry] = None,
-    verify: bool = True,
-    owner: Optional[str] = None,
-    lease_ttl: Optional[float] = None,
-    heartbeat_s: Optional[float] = None,
-):
-    """Re-execute only the missing/failed cells of an interrupted sweep."""
-    return work_run(
-        run_dir,
-        jobs=jobs,
-        retry=retry,
-        obs=obs,
-        verify=verify,
-        owner=owner,
-        lease_ttl=lease_ttl,
-        heartbeat_s=heartbeat_s,
-    )
 
 
 def work_run(

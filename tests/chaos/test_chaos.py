@@ -23,7 +23,7 @@ from repro.harness.resilience import (
     RunDir,
     canonical_envelope_bytes,
     execute_sweep,
-    resume_run,
+    work_run,
 )
 from repro.obs import Registry
 
@@ -48,7 +48,7 @@ def _serial_reference(tmp_path, plan):
 
 
 def _resume(run_dir, obs=None):
-    return resume_run(
+    return work_run(
         run_dir,
         retry=_retry(),
         obs=obs,

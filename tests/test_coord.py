@@ -40,7 +40,6 @@ from repro.harness.resilience import (
     effective_lease_ttl,
     execute_sweep,
     register_cell_runner,
-    resume_run,
     status_run,
     work_run,
 )

@@ -9,7 +9,8 @@ Three layers:
   injected clock, the remote/coord counter books);
 - end-to-end: a real :class:`RemoteWorker` draining a live ``--workers
   0`` coordinator over real sockets, byte-identical to a cold serial
-  run, plus the ``--connect`` CLI surfaces.
+  run; the shared supervisor's crash, timeout, ``--jobs`` and SIGTERM
+  handling on remote cells; plus the ``--connect`` CLI surfaces.
 
 tests/chaos/test_remote_chaos.py adds the network-fault-injection
 battery on top of the same protocol.
@@ -17,9 +18,15 @@ battery on top of the same protocol.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -37,13 +44,17 @@ from repro.harness.remote import (
     RemoteWorker,
 )
 from repro.harness.resilience import (
+    CELL_RUNNERS,
+    RetryPolicy,
     RunDir,
     canonical_envelope_bytes,
     execute_sweep,
     faults_plan,
 )
-from repro.harness.serve import JOB_SCHEMA, JobServer, ServeConfig
+from repro.harness.serialize import load_json
+from repro.harness.serve import JOB_SCHEMA, TERMINAL_STATES, JobServer, ServeConfig
 from repro.obs import Registry
+from tests.chaos.harness import REPO, worker_env
 from tests.test_serve_protocol import _LiveServer
 
 FAULTS_DOC = {
@@ -53,6 +64,57 @@ FAULTS_DOC = {
     "params": {"rates": [0.0], "widths": [24]},
     "seed": 7,
 }
+
+
+#: A real ``repro work --connect`` process whose ``fault_rate`` runner
+#: is replaced by ``{runner}`` (source text) before the CLI starts.
+SWAPPED_WORKER = """\
+import os, sys, time
+from repro.harness import resilience
+resilience.CELL_RUNNERS["fault_rate"] = {runner}
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _hard_exit(params):
+    os._exit(9)
+
+
+def _hang(params):
+    time.sleep(3600)
+
+
+def _rendezvous(root, params):
+    """Check in, then wait until every cell of FAULTS_DOC has checked in:
+    completes only when both cells run at the same time."""
+    (root / f"{params.get('rate', params.get('width'))}").touch()
+    deadline = time.monotonic() + 60
+    while len(list(root.iterdir())) < 2:
+        if time.monotonic() > deadline:
+            raise TimeoutError("the other cell never ran concurrently")
+        time.sleep(0.01)
+    return {"met": True}
+
+
+def spawn_swapped_worker(url, runner, *flags):
+    return subprocess.Popen(
+        [sys.executable, "-c", SWAPPED_WORKER.format(runner=runner),
+         "work", "--connect", url, *flags],
+        env=worker_env(), cwd=str(REPO),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+
+
+def finish(proc, timeout=120.0):
+    """Wait a worker out (hard-killing it past ``timeout``); returns
+    its exit code and output."""
+    try:
+        output, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        output, _ = proc.communicate()
+    return proc.returncode, output
 
 
 def reference_envelope(tmp_path):
@@ -493,6 +555,106 @@ class TestRemoteWorkerEndToEnd:
         worker = RemoteWorker(client, owner="lost-1", max_failures=2)
         assert worker.run() == 3
 
+    def _rate_record(self, live, job_id):
+        return load_json(live.server.store.run_dir(job_id) / "cells" / "rate-0.json")
+
+    def test_hard_exiting_cell_is_a_crash_record(self, tmp_path, monkeypatch):
+        """A remote cell that hard-exits fails its cell, not the worker:
+        after ``--retries`` attempts it is recorded as a ``crash``, the
+        worker exits 0 and the job settles. (The server's final drain
+        re-runs failed cells; swapping its runner too keeps the
+        worker's record as the first durable one.)"""
+        monkeypatch.setitem(CELL_RUNNERS, "fault_rate", _hard_exit)
+        config = ServeConfig(spool=tmp_path / "spool", workers=0)
+        with _LiveServer(config) as live:
+            _, doc = live.request("POST", "/jobs", FAULTS_DOC)
+            url = f"http://127.0.0.1:{live.server.port}"
+            proc = spawn_swapped_worker(url, "lambda params: os._exit(9)", "--retries", "2")
+            code, output = finish(proc)
+            assert code == 0, output
+            final = live.wait_state(doc["job_id"])
+            assert final["state"] in TERMINAL_STATES
+            record = self._rate_record(live, doc["job_id"])
+            assert record["status"] == "failed"
+            assert record["error"]["kind"] == "crash"
+            assert record["attempts"] == 2
+            _, stats = live.request("GET", "/stats")
+            assert stats["remote"]["completed"] == 2  # both cells uploaded
+            assert stats["remote"]["reconciles"]
+
+    def test_hung_cell_is_a_timeout_record(self, tmp_path, monkeypatch):
+        """``--timeout`` applies to remote cells: a hung cell is killed
+        and recorded as a ``timeout``."""
+        monkeypatch.setitem(CELL_RUNNERS, "fault_rate", _hang)
+        config = ServeConfig(
+            spool=tmp_path / "spool", workers=0, retries=1, cell_timeout_s=1.0
+        )
+        with _LiveServer(config) as live:
+            _, doc = live.request("POST", "/jobs", FAULTS_DOC)
+            url = f"http://127.0.0.1:{live.server.port}"
+            proc = spawn_swapped_worker(
+                url, "lambda params: time.sleep(3600)", "--timeout", "1", "--retries", "1"
+            )
+            code, output = finish(proc)
+            assert code == 0, output
+            final = live.wait_state(doc["job_id"])
+            assert final["state"] in TERMINAL_STATES
+            record = self._rate_record(live, doc["job_id"])
+            assert record["status"] == "failed"
+            assert record["error"]["kind"] == "timeout"
+            _, stats = live.request("GET", "/stats")
+            assert stats["remote"]["completed"] == 2  # the worker uploaded the timeout
+            assert stats["remote"]["reconciles"]
+
+    def test_jobs_run_remote_cells_concurrently(self, tmp_path, monkeypatch):
+        """``jobs=2`` holds two claims at once (under distinct worker ids,
+        since the broker re-delivers a held cell to its owner): each cell
+        only completes once the other one is running too."""
+        meet = tmp_path / "meet"
+        meet.mkdir()
+        for kind in ("fault_rate", "fault_width"):
+            monkeypatch.setitem(CELL_RUNNERS, kind, functools.partial(_rendezvous, meet))
+        config = ServeConfig(spool=tmp_path / "spool", workers=0)
+        with _LiveServer(config) as live:
+            _, doc = live.request("POST", "/jobs", FAULTS_DOC)
+            obs = Registry()
+            client = RemoteClient(f"http://127.0.0.1:{live.server.port}", obs=obs)
+            worker = RemoteWorker(
+                client, owner="pair", obs=obs, jobs=2, retry=RetryPolicy(max_attempts=1)
+            )
+            assert worker.run() == 0
+            assert live.wait_state(doc["job_id"])["state"] == "DONE"
+            counters = obs.snapshot()
+            assert counters["remote/cells_completed"] == 2
+            assert counters["resilience/cells_succeeded"] == 2
+            _, stats = live.request("GET", "/stats")
+            assert (stats["remote"]["claims"], stats["remote"]["reconciles"]) == (2, True)
+
+    def test_sigterm_mid_cell_abandons_the_claim(self, tmp_path):
+        """SIGTERM to a worker mid-cell settles its claim ``abandoned``
+        right away — the 30 s default TTL reaper never gets involved —
+        and the books still reconcile."""
+        mark = tmp_path / "cell-started"
+        config = ServeConfig(spool=tmp_path / "spool", workers=0)
+        with _LiveServer(config) as live:
+            live.request("POST", "/jobs", FAULTS_DOC)
+            url = f"http://127.0.0.1:{live.server.port}"
+            runner = f"lambda params: (open({str(mark)!r}, 'w').close(), time.sleep(3600))"
+            proc = spawn_swapped_worker(url, runner)
+            deadline = time.monotonic() + 60
+            while not mark.exists():  # the cell is running in its worker
+                assert proc.poll() is None, finish(proc)
+                if time.monotonic() > deadline:
+                    pytest.fail(f"cell never started: {finish(proc, timeout=0)}")
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            code, output = finish(proc)
+            assert code == 130, output
+            _, stats = live.request("GET", "/stats")
+            remote = stats["remote"]
+            assert (remote["claims"], remote["abandoned"], remote["active"]) == (1, 1, 0)
+            assert remote["reconciles"]
+
     def test_lost_lease_mid_cell_still_uploads_first_record_wins(self, tmp_path):
         """A worker that loses its lease mid-compute finishes and
         uploads anyway; whether it is recorded or counted duplicate is
@@ -518,6 +680,20 @@ class TestConnectCli:
         assert main(["status"]) == 2
         err = capsys.readouterr().err
         assert "exactly one of" in err
+
+    @pytest.mark.parametrize("target, flag", [
+        (["--connect", "http://127.0.0.1:9"], ["--lease-ttl", "30"]),
+        (["--connect", "http://127.0.0.1:9"], ["--heartbeat", "1"]),
+        (["--connect", "http://127.0.0.1:9"], ["--no-verify"]),
+        (["--connect", "http://127.0.0.1:9"], ["--json", "out.json"]),
+        (["somedir"], ["--linger", "0"]),
+        (["somedir"], ["--request-timeout", "5"]),
+    ])
+    def test_work_rejects_flags_of_the_other_mode(self, target, flag, capsys):
+        """One meaning per flag: a flag that cannot apply in the chosen
+        mode exits 2 with a message instead of being ignored."""
+        assert main(["work", *target, *flag]) == 2
+        assert f"does not take {flag[0]}" in capsys.readouterr().err
 
     def test_status_connect_renders_the_job_table(self, tmp_path, capsys):
         config = ServeConfig(spool=tmp_path / "spool", workers=0)

@@ -33,7 +33,7 @@ from repro.harness.resilience import (
     execute_sweep,
     faults_plan,
     register_cell_runner,
-    resume_run,
+    work_run,
     _run_breakdown_cell,
 )
 from repro.harness.report import FAILED, format_failures
@@ -311,7 +311,7 @@ class TestRunDir:
         cell = RunDir(run_dir).cell_path("a")
         cell.write_text(cell.read_text()[:40])  # torn write
         obs = Registry()
-        _, again, _, _ = resume_run(run_dir, obs=obs)
+        _, again, _, _ = work_run(run_dir, obs=obs)
         assert obs.snapshot()["resilience/cells_attempted"] == 1
         assert canonical_envelope_bytes(first) == canonical_envelope_bytes(again)
 
@@ -330,7 +330,7 @@ class TestRunDir:
         _, first, _, _ = execute_sweep(plan, run_dir, retry=_fast_retry(max_attempts=1))
         assert first["resilience"]["cells_failed"] == 1
         # ...resume re-executes exactly the failed cell and succeeds
-        _, second, _, records = resume_run(run_dir, retry=_fast_retry(max_attempts=1))
+        _, second, _, records = work_run(run_dir, retry=_fast_retry(max_attempts=1))
         assert second["resilience"]["cells_failed"] == 0
         assert records["flaky"]["status"] == "ok"
 
@@ -500,5 +500,5 @@ class TestInterruptTeardown:
         # either the TERM landed mid-sweep (130) or the tiny sweep beat
         # us to completion (0) — both must leave a resumable run dir
         assert proc.returncode in (130, 0), proc.stderr.read()
-        result, envelope, _, _ = resume_run(run_dir)
+        result, envelope, _, _ = work_run(run_dir)
         assert envelope["resilience"]["cells_failed"] == 0

@@ -5,8 +5,8 @@ Covers the PR 5 cache guarantees: keys flip on every semantic input
 are structured misses that recompute rather than return wrong results,
 cold / warm / ``--no-cache`` envelopes are byte-identical, concurrent
 workers can share one cache directory, the ``simcache/*`` counters
-reconcile exactly, and a warm fault sweep beats the cold compute by a
-wide margin.
+reconcile exactly, and a warm fault sweep replays from disk without
+recomputing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -351,29 +350,21 @@ def test_jobs_workers_resolve_cache_from_env(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the headline: warm replay beats cold compute
+# the headline: a warm sweep replays without recomputing
 # ---------------------------------------------------------------------------
 
 
-def test_warm_fault_sweep_at_least_5x_faster_than_cold(tmp_path):
+def test_warm_fault_sweep_replays_without_recompute(tmp_path):
+    """Counters, not wall clock, prove the warm pass computed nothing;
+    bench-smoke's ``simcache_warm_sweep`` case gates its speed."""
     rates = (1e-3, 1e-2)
-    t0 = time.perf_counter()
-    for rate in rates:
-        fault_rate_cell("alexnet", rate, cache=SimCache(root=tmp_path))
-    cold_s = time.perf_counter() - t0
-
-    warm_s = min(
-        _timed_warm_sweep(tmp_path, rates) for _ in range(3)
-    )
-    assert warm_s * 5 < cold_s, f"warm {warm_s:.4f}s vs cold {cold_s:.4f}s"
-
-
-def _timed_warm_sweep(root, rates):
-    cache = SimCache(root=root)  # fresh: timing covers verified disk reads
-    t0 = time.perf_counter()
-    for rate in rates:
-        fault_rate_cell("alexnet", rate, cache=cache)
-    return time.perf_counter() - t0
+    cold = [fault_rate_cell("alexnet", rate, cache=SimCache(root=tmp_path)) for rate in rates]
+    obs = Registry()
+    cache = SimCache(root=tmp_path, obs=obs)  # fresh: every hit is a verified disk read
+    warm = [fault_rate_cell("alexnet", rate, cache=cache) for rate in rates]
+    assert warm == cold
+    assert _snap(obs, "hits") == len(rates)
+    assert _snap(obs, "misses") == 0
 
 
 # ---------------------------------------------------------------------------
