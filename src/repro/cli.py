@@ -517,10 +517,7 @@ def _remote_work(args: argparse.Namespace, owner: str) -> int:
     from .harness.remote import RemoteClient, RemoteWorker
 
     try:
-        client = RemoteClient(
-            args.connect,
-            timeout_s=10.0 if args.request_timeout is None else args.request_timeout,
-        )
+        client = RemoteClient(args.connect, timeout_s=args.request_timeout)
     except RemoteProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -530,7 +527,7 @@ def _remote_work(args: argparse.Namespace, owner: str) -> int:
         owner=owner,
         jobs=args.jobs,
         retry=_retry_policy(args),
-        linger_s=0.0 if args.linger is None else args.linger,
+        linger_s=args.linger,
     )
     return worker.run()
 

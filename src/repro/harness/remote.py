@@ -147,9 +147,10 @@ class Backoff:
 class RemoteClient:
     """Stdlib-urllib JSON transport with deadlines and bounded retry.
 
-    Every request carries a per-request timeout. Transport failures
-    (refused, reset, timed out, truncated mid-body) and 5xx answers are
-    retried up to ``retries`` extra attempts behind :class:`Backoff`;
+    Every request carries a per-request timeout (default 10 s).
+    Transport failures (refused, reset, timed out, truncated mid-body)
+    and 5xx answers are retried up to ``retries`` extra attempts behind
+    :class:`Backoff`;
     exhausting the budget raises :class:`RemoteProtocolError`
     (``reason="unreachable"``). Any sub-500 HTTP answer — including the
     protocol's structured 4xx rejections — is returned to the caller as
@@ -159,7 +160,7 @@ class RemoteClient:
     def __init__(
         self,
         base_url: str,
-        timeout_s: float = 10.0,
+        timeout_s: Optional[float] = None,
         retries: int = 5,
         backoff: Optional[Backoff] = None,
         obs: Optional[Registry] = None,
@@ -172,7 +173,7 @@ class RemoteClient:
                 reason="bad_url",
             )
         self.base_url = base_url
-        self.timeout_s = float(timeout_s)
+        self.timeout_s = 10.0 if timeout_s is None else float(timeout_s)
         self.retries = int(retries)
         self.backoff = backoff if backoff is not None else Backoff()
         self.obs = obs if obs is not None else NULL_REGISTRY
@@ -183,8 +184,10 @@ class RemoteClient:
         path: str,
         doc: Optional[Dict[str, Any]] = None,
         retries: Optional[int] = None,
+        timeout_s: Optional[float] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         url = self.base_url + path
+        timeout_s = self.timeout_s if timeout_s is None else timeout_s
         payload = None if doc is None else json.dumps(to_jsonable(doc)).encode("utf-8")
         budget = self.retries if retries is None else int(retries)
         self.backoff.reset()
@@ -195,7 +198,7 @@ class RemoteClient:
                 time.sleep(self.backoff.next_delay())
             self.obs.counter("remote/http_requests").add()
             try:
-                status, raw = self._once(url, method, payload)
+                status, raw = self._once(url, method, payload, timeout_s)
             except _TRANSPORT_ERRORS as exc:
                 last = f"{type(exc).__name__}: {exc}"
                 continue
@@ -219,12 +222,14 @@ class RemoteClient:
             reason="unreachable",
         )
 
-    def _once(self, url: str, method: str, payload: Optional[bytes]) -> Tuple[int, bytes]:
+    def _once(
+        self, url: str, method: str, payload: Optional[bytes], timeout_s: float
+    ) -> Tuple[int, bytes]:
         req = urllib.request.Request(
             url, data=payload, method=method, headers={"Content-Type": "application/json"}
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+            with urllib.request.urlopen(req, timeout=timeout_s) as resp:
                 return resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             with exc:
@@ -236,16 +241,26 @@ class RemoteClient:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Claimed(CellSpec):
+    """A claimed cell. Cell ids repeat across jobs, so the worker
+    tracks what it holds by ``claim_id``."""
+
+    claim_id: str
+
+
 @dataclass
 class _Held:
     """One claim the worker holds: where to renew and settle it."""
 
-    claim_id: str
+    cell_id: str
     worker: str
     token: int
     heartbeat_s: float
-    due: float
+    due: float  # the next heartbeat, or the next upload attempt once ``result`` is set
     lost: bool = False
+    result: Optional[Dict[str, Any]] = None  # the settled outcome awaiting upload
+    upload_backoff: Optional[Backoff] = None
 
 
 class RemoteWorker:
@@ -263,6 +278,11 @@ class RemoteWorker:
     broker re-delivers a cell to an owner that already holds its lease,
     so each concurrently held claim goes out under its own identity:
     ``owner`` for the first, ``owner/1``, ``owner/2``, ... for the rest.
+
+    The supervisor makes these calls between polls of its running cells,
+    so each is one request that waits at most the client's timeout (a
+    heartbeat: one interval); failed claims and uploads are retried on
+    later passes behind backoff.
     """
 
     def __init__(
@@ -273,7 +293,7 @@ class RemoteWorker:
         jobs: int = 1,
         retry: Optional[RetryPolicy] = None,
         max_failures: int = 8,
-        linger_s: float = 0.0,
+        linger_s: Optional[float] = None,
         rng: Optional[random.Random] = None,
         stream=None,
     ):
@@ -283,13 +303,14 @@ class RemoteWorker:
         self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_failures = max(1, int(max_failures))
-        self.linger_s = float(linger_s)
+        self.linger_s = 0.0 if linger_s is None else float(linger_s)
         self.rng = rng if rng is not None else random.Random()
         self.stream = stream if stream is not None else sys.stdout
         self.exit_code = 0
         self._backoff = Backoff(base_s=0.5, cap_s=10.0, rng=self.rng)
-        self._held: Dict[str, _Held] = {}
+        self._held: Dict[str, _Held] = {}  # by claim_id
         self._failures = 0
+        self._retrying_as: Optional[str] = None
         self._idle_since: Optional[float] = None
         self._beats = 0
         self._claims = 0
@@ -315,12 +336,18 @@ class RemoteWorker:
         return None
 
     def next_cell(self) -> Union[CellSpec, float, None]:
+        if any(held.result is not None for held in self._held.values()):
+            return 0.05  # settle the uploads tick() is retrying before claiming more
+        # A failed round retries under the same identity, so a claim the
+        # server granted but whose answer was lost is re-delivered to us.
         in_use = {held.worker for held in self._held.values()}
         names = [self.owner] + [f"{self.owner}/{k}" for k in range(1, len(in_use) + 1)]
-        worker = next(name for name in names if name not in in_use)
+        worker = self._retrying_as or next(name for name in names if name not in in_use)
+        self._retrying_as = worker
         try:
             status, doc = self.client.request(
-                "POST", "/cells/claim", {"schema": CLAIM_REQUEST_SCHEMA, "worker": worker}
+                "POST", "/cells/claim", {"schema": CLAIM_REQUEST_SCHEMA, "worker": worker},
+                retries=0,
             )
         except RemoteProtocolError as exc:
             self.obs.counter("remote/claim_failures").add()
@@ -336,6 +363,7 @@ class RemoteWorker:
             return self._claim_failed(f"server keeps answering {status}")
         self._failures = 0
         self._backoff.reset()
+        self._retrying_as = None
         if not doc.get("cell"):
             if not doc.get("idle"):
                 self._idle_since = None
@@ -352,11 +380,11 @@ class RemoteWorker:
                     return None
             return float(doc.get("retry_after_s") or 0.5) * self.rng.uniform(0.8, 1.2)
         self._idle_since = None
-        spec = CellSpec.from_dict(doc["cell"])
+        spec = _Claimed(**vars(CellSpec.from_dict(doc["cell"])), claim_id=doc["claim_id"])
         lease = doc.get("lease") or {}
         heartbeat_s = max(0.05, float(lease.get("heartbeat_s") or DEFAULT_HEARTBEAT_S))
-        self._held[spec.cell_id] = _Held(
-            claim_id=doc["claim_id"],
+        self._held[spec.claim_id] = _Held(
+            cell_id=spec.cell_id,
             worker=worker,
             token=int(lease.get("token", 1)),
             heartbeat_s=heartbeat_s,
@@ -368,20 +396,27 @@ class RemoteWorker:
         return spec
 
     def tick(self) -> None:
-        """Renew due claims. A missed beat (transport fault) is counted
-        and retried next interval — the TTL absorbs gaps. A structured
-        rejection (409 stale token or stolen lease, 410 settled claim)
-        marks the claim lost for good, but its attempt still finishes
-        and uploads: the first durable record settles who won."""
+        """Renew due claims and retry due uploads. A missed beat
+        (transport fault) is counted and retried next interval — the TTL
+        absorbs gaps. A structured rejection (409 stale token or stolen
+        lease, 410 settled claim) marks the claim lost for good, but its
+        attempt still finishes and uploads: the first durable record
+        settles who won."""
         now = time.monotonic()
-        for held in self._held.values():
-            if held.lost or now < held.due:
+        for claim_id, held in list(self._held.items()):
+            if now < held.due:
+                continue
+            if held.result is not None:
+                self._send_result(claim_id, held)
+                continue
+            if held.lost:
                 continue
             held.due = now + held.heartbeat_s
             body = {"schema": HEARTBEAT_SCHEMA, "worker": held.worker, "token": held.token}
             try:
                 status, _ = self.client.request(
-                    "POST", f"/cells/{held.claim_id}/heartbeat", body, retries=0
+                    "POST", f"/cells/{claim_id}/heartbeat", body, retries=0,
+                    timeout_s=min(self.client.timeout_s, held.heartbeat_s),
                 )
             except RemoteProtocolError:
                 self.obs.counter("remote/heartbeat_misses").add()
@@ -396,7 +431,7 @@ class RemoteWorker:
 
     def commit(
         self,
-        spec: CellSpec,
+        spec: _Claimed,
         status: str,
         result: Any = None,
         error: Optional[Dict[str, Any]] = None,
@@ -404,10 +439,9 @@ class RemoteWorker:
     ) -> None:
         """Upload a final outcome, even when the lease was lost mid-cell:
         the record write is exclusive, so a zombie's upload is counted,
-        never corrupting. An unreachable or rejected upload abandons the
-        cell — the server's TTL reaper re-offers it."""
-        held = self._held.pop(spec.cell_id)
-        body = {
+        never corrupting."""
+        held = self._held[spec.claim_id]
+        held.result = {
             "schema": RESULT_SCHEMA,
             "worker": held.worker,
             "token": held.token,
@@ -416,15 +450,29 @@ class RemoteWorker:
             "error": error,
             "attempts": attempts,
         }
+        held.upload_backoff = Backoff(rng=self.rng)
+        self._send_result(spec.claim_id, held)
+
+    def _send_result(self, claim_id: str, held: _Held) -> None:
+        """One ``PUT /cells/<claim>/result``; a transport fault is retried
+        from :meth:`tick` up to the client's retry budget. An unreachable
+        or rejected upload abandons the cell — the TTL reaper re-offers it."""
         try:
-            code, doc = self.client.request("PUT", f"/cells/{held.claim_id}/result", body)
+            code, doc = self.client.request(
+                "PUT", f"/cells/{claim_id}/result", held.result, retries=0
+            )
         except RemoteProtocolError:
+            if held.upload_backoff.failures < self.client.retries:
+                self.obs.counter("remote/http_retries").add()
+                held.due = time.monotonic() + held.upload_backoff.next_delay()
+                return
             code, doc = None, {"reason": "unreachable"}
+        del self._held[claim_id]
         if code != 200:
             self._abandoned += 1
             self.obs.counter("remote/cells_abandoned").add()
             reason = doc.get("reason") or doc.get("error")
-            self._log(f"abandoning {spec.cell_id}: result upload failed ({code} {reason})")
+            self._log(f"abandoning {held.cell_id}: result upload failed ({code} {reason})")
             return
         self._completed += 1
         self.obs.counter("remote/cells_completed").add()
@@ -435,10 +483,10 @@ class RemoteWorker:
     def abandon_all(self) -> None:
         """Release every held claim promptly (Ctrl-C / SIGTERM), so peers
         pick the cells up instead of waiting out the TTL."""
-        for held in self._held.values():
+        for claim_id, held in self._held.items():
             body = {"schema": ABANDON_SCHEMA, "worker": held.worker, "token": held.token}
             try:
-                self.client.request("POST", f"/cells/{held.claim_id}/abandon", body, retries=0)
+                self.client.request("POST", f"/cells/{claim_id}/abandon", body, retries=0)
             except RemoteProtocolError:
                 pass  # best effort; the TTL reaper covers us
         self._held.clear()

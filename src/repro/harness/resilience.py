@@ -701,6 +701,9 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
       settles a cell's final ``ok``/``failed`` outcome;
     - ``abandon_all()`` — releases every held claim on teardown.
 
+    ``commit`` gets back the object ``next_cell`` returned; nothing here
+    is keyed by ``cell_id``, which may repeat across a coordinator's sweeps.
+
     :class:`~repro.harness.coord.CellCoordinator` implements it over
     lease files, :class:`~repro.harness.remote.RemoteWorker` over
     HTTP. Each cell attempt gets its own short-lived process (fork where
@@ -712,8 +715,8 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
     """
     ctx = pool_context()
     backlog: List[Tuple[float, int, CellSpec, int]] = []  # (ready, tiebreak, spec, attempt)
-    tiebreak = itertools.count()
-    active: Dict[str, Tuple[Any, Any, CellSpec, int, float]] = {}
+    tickets = itertools.count()  # backlog tiebreak and ``active`` key, one per launch
+    active: Dict[int, Tuple[Any, Any, CellSpec, int, float]] = {}
     jobs = max(1, int(jobs))
     ask_at = 0.0  # monotonic instant before which next_cell() is not asked again
     drained = False
@@ -729,7 +732,7 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
         proc = ctx.Process(target=_cell_worker, args=(send, spec.kind, spec.params), daemon=True)
         proc.start()
         send.close()
-        active[spec.cell_id] = (proc, recv, spec, attempt, time.monotonic())
+        active[next(tickets)] = (proc, recv, spec, attempt, time.monotonic())
         obs.counter("resilience/attempts").add()
 
     try:
@@ -758,8 +761,8 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
             multiprocessing.connection.wait(
                 [proc.sentinel for proc, _, _, _, _ in active.values()], timeout=0.05
             )
-            for cell_id in list(active):
-                proc, recv, spec, attempt, started = active[cell_id]
+            for ticket in list(active):
+                proc, recv, spec, attempt, started = active[ticket]
                 if proc.is_alive():
                     if not overran(time.monotonic() - started):
                         continue
@@ -787,7 +790,7 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
                             f"worker died (exit code {proc.exitcode}) before reporting",
                         )
                 recv.close()
-                del active[cell_id]
+                del active[ticket]
 
                 status, payload = outcome
                 if status == "timeout":
@@ -799,7 +802,7 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
                     obs.counter("resilience/retries").add()
                     heapq.heappush(
                         backlog,
-                        (time.monotonic() + retry.backoff(attempt), next(tiebreak), spec, attempt + 1),
+                        (time.monotonic() + retry.backoff(attempt), next(tickets), spec, attempt + 1),
                     )
                 else:
                     obs.counter("resilience/cells_failed").add()

@@ -1,12 +1,14 @@
 """The HTTP work-dispatch protocol (docs/REMOTE.md).
 
-Three layers:
+Four layers:
 
 - unit: the client's :class:`Backoff` schedule;
 - the synchronous broker protocol through ``JobServer.handle_request``
   (claim/heartbeat/result/abandon, fencing rejections, idempotent and
   conflicting uploads, re-delivered claims, the TTL reaper on an
   injected clock, the remote/coord counter books);
+- the worker's coordinator calls against a scripted client: one
+  bounded attempt per request, uploads retried from later ticks;
 - end-to-end: a real :class:`RemoteWorker` draining a live ``--workers
   0`` coordinator over real sockets, byte-identical to a cold serial
   run; the shared supervisor's crash, timeout, ``--jobs`` and SIGTERM
@@ -19,6 +21,7 @@ battery on top of the same protocol.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import random
@@ -95,6 +98,16 @@ def _rendezvous(root, params):
             raise TimeoutError("the other cell never ran concurrently")
         time.sleep(0.01)
     return {"met": True}
+
+
+def _fail_first(marker, runner, params):
+    """Raise on the first call across all worker processes, then run
+    ``runner``: exactly one attempt of one cell fails."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return runner(params)
+    raise RuntimeError("the first attempt fails")
 
 
 def spawn_swapped_worker(url, runner, *flags):
@@ -502,6 +515,89 @@ class TestAbandonAndReaper:
 
 
 # ---------------------------------------------------------------------------
+# The worker as a coordinator: every request is one bounded attempt
+# ---------------------------------------------------------------------------
+
+
+class _ScriptedClient:
+    """Stands in for :class:`RemoteClient`: answers each ``(method, last
+    path segment)`` from a script and records how each request was made."""
+
+    timeout_s = 10.0
+    retries = 2
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def request(self, method, path, doc=None, retries=None, timeout_s=None):
+        endpoint = path.rsplit("/", 1)[-1]
+        self.calls.append((method, endpoint, retries, timeout_s))
+        answer = self.script[(method, endpoint)].pop(0)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+
+def _claim_answer(claim_id, heartbeat_s=0.05):
+    spec = {"cell_id": "rate-0", "kind": "fault_rate", "params": {"rate": 0.0}}
+    lease = {"token": 1, "heartbeat_s": heartbeat_s}
+    return 200, {"cell": spec, "claim_id": claim_id, "lease": lease}
+
+
+def _until(condition, what):
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+class TestRemoteWorkerCoordinator:
+    def test_requests_never_retry_inside_the_supervisor_loop(self):
+        """Claims, heartbeats and uploads each make one attempt; a failed
+        upload is retried from later ticks (and holds back new claims
+        until it settles) instead of blocking the loop in a retry."""
+        unreachable = RemoteProtocolError("down", url="x", reason="unreachable")
+        client = _ScriptedClient({
+            ("POST", "claim"): [_claim_answer("c1")],
+            ("POST", "heartbeat"): [(200, {})] * 100,
+            ("PUT", "result"): [unreachable, unreachable, (200, {"recorded": True})],
+        })
+        obs = Registry()
+        worker = RemoteWorker(client, owner="w", obs=obs)
+        spec = worker.next_cell()
+        assert spec.cell_id == "rate-0"
+        _until(lambda: (worker.tick(), obs.snapshot().get("remote/heartbeats"))[1], "no beat")
+        worker.commit(spec, "ok", result={"value": 1})
+        assert isinstance(worker.next_cell(), float)  # the upload is still pending
+        _until(
+            lambda: (worker.tick(), obs.snapshot().get("remote/cells_completed"))[1],
+            "the upload never landed",
+        )
+        assert all(retries == 0 for _, _, retries, _ in client.calls), client.calls
+        beats = [timeout for _, endpoint, _, timeout in client.calls if endpoint == "heartbeat"]
+        assert beats and all(timeout == 0.05 for timeout in beats)
+        assert [endpoint for _, endpoint, _, _ in client.calls].count("result") == 3
+        assert obs.snapshot()["remote/http_retries"] == 2
+
+    def test_upload_abandons_the_cell_once_the_retry_budget_is_spent(self):
+        unreachable = RemoteProtocolError("down", url="x", reason="unreachable")
+        client = _ScriptedClient({
+            ("POST", "claim"): [_claim_answer("c1", heartbeat_s=60.0)],
+            ("PUT", "result"): [unreachable] * 3,
+        })
+        obs = Registry()
+        worker = RemoteWorker(client, owner="w", obs=obs, stream=io.StringIO())
+        worker.commit(worker.next_cell(), "ok", result={"value": 1})
+        _until(
+            lambda: (worker.tick(), obs.snapshot().get("remote/cells_abandoned"))[1],
+            "the upload was never given up",
+        )
+        assert [endpoint for _, endpoint, _, _ in client.calls].count("result") == 3
+        assert "remote/cells_completed" not in obs.snapshot()
+
+
+# ---------------------------------------------------------------------------
 # End to end: a real worker over real sockets, --workers 0 coordinator
 # ---------------------------------------------------------------------------
 
@@ -629,6 +725,46 @@ class TestRemoteWorkerEndToEnd:
             assert counters["resilience/cells_succeeded"] == 2
             _, stats = live.request("GET", "/stats")
             assert (stats["remote"]["claims"], stats["remote"]["reconciles"]) == (2, True)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_sharing_ids_across_jobs_settle_their_own_claims(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """Cell ids are unique only within a job, and a cell waiting out
+        retry backoff stays claimed while the worker claims more: two
+        queued jobs both have ``rate-0``, and one job's ``rate-0`` fails
+        once. Every claim still settles as itself — one ``rate-0`` record
+        took two attempts, the other one, each job's envelope is its own
+        serial run's, and the worker never crashes or orphans a claim."""
+        runner = functools.partial(
+            _fail_first, tmp_path / "failed-once", CELL_RUNNERS["fault_rate"]
+        )
+        monkeypatch.setitem(CELL_RUNNERS, "fault_rate", runner)
+        config = ServeConfig(spool=tmp_path / "spool", workers=0)
+        with _LiveServer(config) as live:
+            job_ids = [
+                live.request("POST", "/jobs", {**FAULTS_DOC, "seed": seed})[1]["job_id"]
+                for seed in (7, 8)
+            ]
+            obs = Registry()
+            client = RemoteClient(f"http://127.0.0.1:{live.server.port}", obs=obs)
+            retry = RetryPolicy(max_attempts=2, backoff_base_s=0.5)
+            worker = RemoteWorker(client, owner="shared", obs=obs, jobs=jobs, retry=retry)
+            assert worker.run() == 0
+            attempts = []
+            for job_id in job_ids:
+                assert live.wait_state(job_id)["state"] == "DONE"
+                attempts.append(self._rate_record(live, job_id)["attempts"])
+            envelope = live.request("GET", f"/jobs/{job_ids[0]}/result")[1]
+            counters = obs.snapshot()
+            _, stats = live.request("GET", "/stats")
+        assert sorted(attempts) == [1, 2]
+        assert (counters["resilience/retries"], counters["remote/cells_completed"]) == (1, 4)
+        remote = stats["remote"]
+        assert (remote["claims"], remote["completed"], remote["reconciles"]) == (4, 4, True)
+        monkeypatch.undo()
+        reference = reference_envelope(tmp_path)
+        assert canonical_envelope_bytes(envelope) == canonical_envelope_bytes(reference)
 
     def test_sigterm_mid_cell_abandons_the_claim(self, tmp_path):
         """SIGTERM to a worker mid-cell settles its claim ``abandoned``
