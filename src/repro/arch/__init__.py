@@ -1,92 +1,57 @@
 """Shared accelerator infrastructure: chunk formats, energy, area, stats."""
 
-from .area import (
-    AreaParams,
-    DEFAULT_AREA,
-    eyeriss_pe_area,
-    iso_area_clusters,
-    olaccel_area,
-    olaccel_cluster_area,
-    olaccel_group_area,
-    olaccel_outlier_group_area,
-    zena_pe_area,
-)
-from .chunks import (
-    LANES,
-    WEIGHT_CHUNK_BITS,
-    ActivationChunk,
-    OutlierActivation,
-    OutlierActivationFifo,
-    WeightChunk,
-    combine_outlier_weight,
-    decode_weight_nibble,
-    encode_weight_nibble,
-    split_outlier_weight,
-)
-from .act_packing import (
-    ACT_NORMAL_MAX,
-    PackedActivations,
-    pack_activations,
-    unpack_activations,
-)
-from .bitcodec import (
-    MAX_SPILL_CHUNKS,
-    decode_chunk,
-    decode_packed,
-    decode_table,
-    encode_chunk,
-    encode_packed,
-    encode_table,
-)
-from .memory import Footprint, OLAccelTiling, check_network, layer_footprint, olaccel_tiling
-from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel, EnergyParams
-from .packing import PackedWeights, WeightTables, pack_weights
-from .stats import LayerStats, RunStats, STATS_SCHEMA_VERSION
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AreaParams",
-    "DEFAULT_AREA",
-    "eyeriss_pe_area",
-    "iso_area_clusters",
-    "olaccel_area",
-    "olaccel_cluster_area",
-    "olaccel_group_area",
-    "olaccel_outlier_group_area",
-    "zena_pe_area",
-    "LANES",
-    "WEIGHT_CHUNK_BITS",
-    "ActivationChunk",
-    "OutlierActivation",
-    "OutlierActivationFifo",
-    "WeightChunk",
-    "combine_outlier_weight",
-    "decode_weight_nibble",
-    "encode_weight_nibble",
-    "split_outlier_weight",
-    "ACT_NORMAL_MAX",
-    "PackedActivations",
-    "pack_activations",
-    "unpack_activations",
-    "Footprint",
-    "OLAccelTiling",
-    "check_network",
-    "layer_footprint",
-    "olaccel_tiling",
-    "MAX_SPILL_CHUNKS",
-    "decode_chunk",
-    "decode_packed",
-    "decode_table",
-    "encode_chunk",
-    "encode_packed",
-    "encode_table",
-    "DEFAULT_ENERGY",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "EnergyParams",
-    "PackedWeights",
-    "WeightTables",
-    "pack_weights",
-    "LayerStats",
-    "RunStats",
-    "STATS_SCHEMA_VERSION",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".area": (
+            "AreaParams",
+            "DEFAULT_AREA",
+            "eyeriss_pe_area",
+            "iso_area_clusters",
+            "olaccel_area",
+            "olaccel_cluster_area",
+            "olaccel_group_area",
+            "olaccel_outlier_group_area",
+            "zena_pe_area",
+        ),
+        ".chunks": (
+            "LANES",
+            "WEIGHT_CHUNK_BITS",
+            "ActivationChunk",
+            "OutlierActivation",
+            "OutlierActivationFifo",
+            "WeightChunk",
+            "combine_outlier_weight",
+            "decode_weight_nibble",
+            "encode_weight_nibble",
+            "split_outlier_weight",
+        ),
+        ".act_packing": (
+            "ACT_NORMAL_MAX",
+            "PackedActivations",
+            "pack_activations",
+            "unpack_activations",
+        ),
+        ".memory": (
+            "Footprint",
+            "OLAccelTiling",
+            "check_network",
+            "layer_footprint",
+            "olaccel_tiling",
+        ),
+        ".bitcodec": (
+            "MAX_SPILL_CHUNKS",
+            "decode_chunk",
+            "decode_packed",
+            "decode_table",
+            "encode_chunk",
+            "encode_packed",
+            "encode_table",
+        ),
+        ".energy": ("DEFAULT_ENERGY", "EnergyBreakdown", "EnergyModel", "EnergyParams"),
+        ".packing": ("PackedWeights", "WeightTables", "pack_weights"),
+        ".stats": ("LayerStats", "RunStats", "STATS_SCHEMA_VERSION"),
+    },
+)

@@ -1,15 +1,11 @@
 """Baseline accelerator models the paper compares against (Sec. IV)."""
 
-from .eyeriss import EyerissConfig, EyerissSimulator, eyeriss16, eyeriss8
-from .zena import ZenaConfig, ZenaSimulator, zena16, zena8
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EyerissConfig",
-    "EyerissSimulator",
-    "eyeriss16",
-    "eyeriss8",
-    "ZenaConfig",
-    "ZenaSimulator",
-    "zena16",
-    "zena8",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".eyeriss": ("EyerissConfig", "EyerissSimulator", "eyeriss16", "eyeriss8"),
+        ".zena": ("ZenaConfig", "ZenaSimulator", "zena16", "zena8"),
+    },
+)

@@ -85,6 +85,11 @@ memoization entirely. ``repro cache stats|clear|prune`` inspects and
 maintains the directory. Cache settings travel to ``--jobs`` workers via
 the ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` environment variables, which
 the flags set.
+
+Each verb imports its drivers inside its handler: ``repro --help``,
+``repro list`` and usage errors import no numpy, and ``run fig11`` loads
+the breakdown driver but not the server, explore or the supervisor
+(docs/PERFORMANCE.md, "CLI start-up").
 """
 
 from __future__ import annotations
@@ -93,78 +98,55 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
 
-from .harness import (
-    breakdown_experiment,
-    experiment_csv_rows,
-    experiment_envelope,
-    fault_sweep,
-    fig1_weight_distributions,
-    fig2_accuracy_vs_ratio,
-    fig3_accuracy_networks,
-    fig14_ratio_sweep,
-    fig15_scalability,
-    fig16_outlier_histogram,
-    fig17_multi_outlier,
-    fig18_utilization,
-    fig19_chunk_cycles,
-    profile_network,
-    run_all_ablations,
-    save_csv,
-    save_json,
-    set_global_seed,
-    sweep_group_size,
-    table1_configurations,
+from .constants import (
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_LEASE_TTL_S,
+    DEFAULT_RATES,
+    DEFAULT_WIDTHS,
+    FAULT_MODELS,
+    MEMORY_TABLE,
+    RECOVERY_POLICIES,
+    STRATEGY_NAMES,
 )
 from .errors import ArtifactIntegrityError, ConfigError
-from .harness.explore import (
-    DesignSpace,
-    ExploreRequest,
-    STRATEGIES,
-    explore_csv_rows,
-    explore_resume,
-    explore_run,
-    is_explore_run,
-)
-from .harness.faults import DEFAULT_RATES, DEFAULT_WIDTHS
-from .harness.coord import DEFAULT_HEARTBEAT_S, DEFAULT_LEASE_TTL_S, default_owner_id
-from .harness.resilience import (
-    RetryPolicy,
-    RunDir,
-    breakdown_plan,
-    execute_sweep,
-    faults_plan,
-    status_run,
-    work_run,
-)
-from .harness.seeding import global_seed
-from .harness.simcache import CACHE_DIR_ENV, NO_CACHE_ENV, SimCache, set_active
-from .harness.workloads import MEMORY_TABLE
-from .faults.plan import FAULT_MODELS
-from .faults.validate import RECOVERY_POLICIES
+from .harness.seeding import global_seed, set_global_seed
 
 __all__ = ["main", "EXPERIMENTS"]
 
 #: Experiments that decompose into checkpointable cells (--run-dir).
 SWEEPABLE = {"fig11": "alexnet", "fig12": "vgg16", "fig13": "resnet18"}
 
+
+def _runner(name: str, *args: Any) -> Callable[[], Any]:
+    """A runner calling ``harness.experiments.<name>(*args)``; the module
+    is imported when the runner is called, not when the table is built."""
+
+    def run() -> Any:
+        from .harness import experiments
+
+        return getattr(experiments, name)(*args)
+
+    return run
+
+
 #: Experiment id -> (runner, description). Runners return objects with
 #: ``format()``.
 EXPERIMENTS: Dict[str, tuple] = {
-    "fig1": (fig1_weight_distributions, "weight distributions: fp vs linear vs OAQ"),
-    "fig2": (fig2_accuracy_vs_ratio, "accuracy vs outlier ratio (mini-AlexNet)"),
-    "fig3": (fig3_accuracy_networks, "4-bit OAQ accuracy across networks"),
-    "tab1": (table1_configurations, "ISO-area configurations"),
-    "fig11": (lambda: breakdown_experiment("alexnet"), "AlexNet cycle/energy breakdown"),
-    "fig12": (lambda: breakdown_experiment("vgg16"), "VGG-16 cycle/energy breakdown"),
-    "fig13": (lambda: breakdown_experiment("resnet18"), "ResNet-18 cycle/energy breakdown"),
-    "fig14": (fig14_ratio_sweep, "energy/cycles/accuracy vs outlier ratio"),
-    "fig15": (fig15_scalability, "multi-NPU scalability"),
-    "fig16": (fig16_outlier_histogram, "effective outlier-activation ratios"),
-    "fig17": (fig17_multi_outlier, "multi-outlier probability vs group width"),
-    "fig18": (fig18_utilization, "utilization breakdown per conv layer"),
-    "fig19": (fig19_chunk_cycles, "per-chunk cycle distributions"),
+    "fig1": (_runner("fig1_weight_distributions"), "weight distributions: fp vs linear vs OAQ"),
+    "fig2": (_runner("fig2_accuracy_vs_ratio"), "accuracy vs outlier ratio (mini-AlexNet)"),
+    "fig3": (_runner("fig3_accuracy_networks"), "4-bit OAQ accuracy across networks"),
+    "tab1": (_runner("table1_configurations"), "ISO-area configurations"),
+    "fig11": (_runner("breakdown_experiment", "alexnet"), "AlexNet cycle/energy breakdown"),
+    "fig12": (_runner("breakdown_experiment", "vgg16"), "VGG-16 cycle/energy breakdown"),
+    "fig13": (_runner("breakdown_experiment", "resnet18"), "ResNet-18 cycle/energy breakdown"),
+    "fig14": (_runner("fig14_ratio_sweep"), "energy/cycles/accuracy vs outlier ratio"),
+    "fig15": (_runner("fig15_scalability"), "multi-NPU scalability"),
+    "fig16": (_runner("fig16_outlier_histogram"), "effective outlier-activation ratios"),
+    "fig17": (_runner("fig17_multi_outlier"), "multi-outlier probability vs group width"),
+    "fig18": (_runner("fig18_utilization"), "utilization breakdown per conv layer"),
+    "fig19": (_runner("fig19_chunk_cycles"), "per-chunk cycle distributions"),
 }
 
 
@@ -185,6 +167,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 def _write_outputs(args: argparse.Namespace, envelopes: Dict[str, dict], csv_rows: List[dict]) -> int:
     """Handle the shared ``--json``/``--csv`` flags; returns an exit code."""
+    from .harness.serialize import save_csv, save_json
+
     if getattr(args, "json", None):
         payload = next(iter(envelopes.values())) if len(envelopes) == 1 else envelopes
         print(f"wrote {save_json(payload, args.json)}")
@@ -200,7 +184,9 @@ def _write_outputs(args: argparse.Namespace, envelopes: Dict[str, dict], csv_row
     return 0
 
 
-def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
+def _retry_policy(args: argparse.Namespace):
+    from .harness.resilience import RetryPolicy
+
     return RetryPolicy(
         max_attempts=getattr(args, "retries", 3),
         timeout_s=getattr(args, "timeout", None),
@@ -209,6 +195,8 @@ def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
 
 def _run_sweep(plan, args: argparse.Namespace):
     """Execute one checkpointed sweep; returns (result, envelope, exit code)."""
+    from .harness.resilience import execute_sweep
+
     try:
         result, envelope, _, _ = execute_sweep(
             plan,
@@ -242,6 +230,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        from .harness.resilience import breakdown_plan
+        from .harness.serialize import experiment_csv_rows
+
         name = names[0]
         _, description = EXPERIMENTS[name]
         plan = breakdown_plan(
@@ -257,6 +248,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args, {name: envelope}, experiment_csv_rows(result) if args.csv else []
         )
         return code or write_code
+    from .harness.serialize import experiment_csv_rows, experiment_envelope
+
     envelopes: Dict[str, dict] = {}
     csv_rows: List[dict] = []
     for name in names:
@@ -273,6 +266,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
+    from .harness.ablations import run_all_ablations, sweep_group_size
+
     for result in run_all_ablations(args.network):
         print(result.format())
     print()
@@ -283,7 +278,12 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.network not in MEMORY_TABLE:
         return _unknown_network(args.network)
+    from .harness.experiments import breakdown_experiment
+    from .harness.serialize import experiment_csv_rows, experiment_envelope
+
     if getattr(args, "run_dir", None):
+        from .harness.resilience import breakdown_plan
+
         plan = breakdown_plan(args.network, ratio=args.ratio, seed=global_seed())
         result, envelope, code = _run_sweep(plan, args)
         if result is None:
@@ -307,6 +307,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.network not in MEMORY_TABLE:
         return _unknown_network(args.network)
+    from .harness.profile import profile_network
+    from .harness.serialize import experiment_envelope, save_json
+
     result = profile_network(args.network, ratio=args.ratio, event_sim_passes=args.passes)
     print(result.format())
     if args.json:
@@ -317,7 +320,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     if args.network not in MEMORY_TABLE:
         return _unknown_network(args.network)
+    from .harness.faults import fault_sweep
+    from .harness.serialize import experiment_envelope, save_json
+
     if getattr(args, "run_dir", None):
+        from .harness.resilience import faults_plan
+
         plan = faults_plan(
             args.network,
             rates=tuple(args.rates),
@@ -353,6 +361,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .harness.bench import default_bench_path, run_benchmarks
+    from .harness.serialize import experiment_envelope, save_json
 
     result = run_benchmarks(smoke=args.smoke, seed=args.seed)
     print(result.format())
@@ -365,6 +374,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .harness.simcache import CACHE_DIR_ENV, SimCache
+
     root = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     if not root:
         print(
@@ -393,6 +404,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.network not in MEMORY_TABLE:
         return _unknown_network(args.network)
+    from .harness.explore import DesignSpace, ExploreRequest, explore_csv_rows, explore_run
+
     space_overrides = {
         "clusters": args.clusters,
         "groups": args.groups,
@@ -441,6 +454,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _drain_run_dir(args: argparse.Namespace, owner: str = None) -> int:
     """Shared body of ``repro resume`` and ``repro work``: drain a run
     dir (plain sweep or explore search) and report the result."""
+    from .harness.explore import explore_resume, is_explore_run
+    from .harness.resilience import RunDir, work_run
+    from .harness.serialize import save_json
+
     if is_explore_run(args.run_dir):
         try:
             result, envelope = explore_resume(
@@ -502,6 +519,8 @@ def _cmd_work(args: argparse.Namespace) -> int:
     if given:
         print(f"error: repro work {mode} does not take {', '.join(given)}", file=sys.stderr)
         return 2
+    from .harness.coord import default_owner_id
+
     owner = default_owner_id()
     if args.connect:
         return _remote_work(args, owner)
@@ -571,6 +590,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
         return 2
     if args.connect:
         return _remote_status(args)
+    from .harness.resilience import status_run
+
     try:
         status = status_run(args.run_dir, verify=not args.no_verify)
     except ArtifactIntegrityError as exc:
@@ -642,10 +663,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .harness.serialize import run_stats_rows
-
     if args.network not in MEMORY_TABLE:
         return _unknown_network(args.network)
+    from .harness.experiments import breakdown_experiment
+    from .harness.serialize import run_stats_rows, save_csv, save_json
+
     csv_path = Path(args.out) / f"{args.network}_layers.csv"
     json_path = Path(args.out) / f"{args.network}_summary.json"
     existing = [str(p) for p in (csv_path, json_path) if p.exists()]
@@ -744,9 +766,14 @@ def _apply_cache_flags(args: argparse.Namespace) -> None:
     manifests/cell params stay byte-identical whether or not a cache is
     attached.
     """
-    if getattr(args, "cache_dir", None):
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    if getattr(args, "no_cache", False):
+    cache_dir, no_cache = getattr(args, "cache_dir", None), getattr(args, "no_cache", False)
+    if not (cache_dir or no_cache or "repro.harness.simcache" in sys.modules):
+        return  # nothing to publish, and no resolved cache to drop
+    from .harness.simcache import CACHE_DIR_ENV, NO_CACHE_ENV, set_active
+
+    if cache_dir:
+        os.environ[CACHE_DIR_ENV] = str(cache_dir)
+    if no_cache:
         os.environ[NO_CACHE_ENV] = "1"
     set_active(None)
 
@@ -901,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the Table I ISO-area point for the network)",
     )
     explore.add_argument(
-        "--strategy", default="grid", choices=sorted(STRATEGIES),
+        "--strategy", default="grid", choices=STRATEGY_NAMES,
         help="search strategy (default grid; docs/EXPLORE.md)",
     )
     explore.add_argument(

@@ -17,22 +17,14 @@ The error taxonomy these raise lives in :mod:`repro.errors` (kept out of
 this package so ``repro.arch`` can use it without an import cycle).
 """
 
-from .accumulator import ACC_MODES, AccumulatorModel, required_accumulator_bits
-from .datapath import FaultInjectionResult, corrupt_packed_weights, faulty_olaccel_conv2d
-from .plan import FAULT_MODELS, FAULT_SURFACES, FaultPlan
-from .validate import RECOVERY_POLICIES, validate_packed, validate_swarm
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACC_MODES",
-    "AccumulatorModel",
-    "required_accumulator_bits",
-    "FaultInjectionResult",
-    "corrupt_packed_weights",
-    "faulty_olaccel_conv2d",
-    "FAULT_MODELS",
-    "FAULT_SURFACES",
-    "FaultPlan",
-    "RECOVERY_POLICIES",
-    "validate_packed",
-    "validate_swarm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".accumulator": ("ACC_MODES", "AccumulatorModel", "required_accumulator_bits"),
+        ".datapath": ("FaultInjectionResult", "corrupt_packed_weights", "faulty_olaccel_conv2d"),
+        ".plan": ("FAULT_MODELS", "FAULT_SURFACES", "FaultPlan"),
+        ".validate": ("RECOVERY_POLICIES", "validate_packed", "validate_swarm"),
+    },
+)

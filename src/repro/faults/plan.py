@@ -39,13 +39,11 @@ from typing import Tuple
 
 import numpy as np
 
+from ..constants import FAULT_MODELS
 from ..errors import ConfigError
 from ..obs import NULL_REGISTRY, Registry
 
 __all__ = ["FAULT_MODELS", "FAULT_SURFACES", "FaultPlan"]
-
-#: Supported fault models.
-FAULT_MODELS = ("bitflip", "stuck0", "stuck1", "burst")
 
 #: Injectable surfaces of the datapath.
 FAULT_SURFACES = (

@@ -44,13 +44,11 @@ from typing import List, Sequence, Tuple
 
 from ..arch.chunks import LANES, OutlierActivation, WeightChunk
 from ..arch.packing import PackedWeights, normal_max_level
+from ..constants import RECOVERY_POLICIES
 from ..errors import ChunkIntegrityError, ConfigError
 from ..obs import NULL_REGISTRY, Registry
 
 __all__ = ["RECOVERY_POLICIES", "validate_packed", "validate_swarm"]
-
-#: Recovery policies, in docs order.
-RECOVERY_POLICIES = ("raise", "degrade", "skip")
 
 _ZERO_LANES = tuple([0] * LANES)
 

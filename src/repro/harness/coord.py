@@ -51,6 +51,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..constants import DEFAULT_HEARTBEAT_S, DEFAULT_LEASE_TTL_S
 from ..errors import ArtifactIntegrityError, LeaseError, StaleOwnerError
 from ..obs import NULL_REGISTRY, Registry
 from .serialize import load_json, save_json
@@ -74,12 +75,6 @@ __all__ = [
 LEASE_SCHEMA = "repro.lease/v1"
 LEASES_DIR = "leases"
 
-#: Default seconds a lease may go unrenewed before other workers steal
-#: the cell. When a per-cell ``--timeout`` is set, the effective default
-#: scales to cover it (see ``effective_lease_ttl``).
-DEFAULT_LEASE_TTL_S = 30.0
-#: Default seconds between heartbeat renewals of a held lease.
-DEFAULT_HEARTBEAT_S = 2.0
 #: Grace added to the TTL before an observer declares a lease stale —
 #: absorbs scheduling jitter between the claimer's renewal cadence and
 #: the observer's sampling cadence (both on their own monotonic clocks).

@@ -31,18 +31,6 @@ from ..olaccel import (
     olaccel8,
     sample_pass_cycles,
 )
-from ..quant import (
-    QuantConfig,
-    QuantizedModel,
-    calibrate_activation_thresholds,
-    effective_outlier_ratios,
-    level_occupancy,
-    quantize_linear,
-    quantize_weights,
-    sqnr_db,
-    summarize,
-)
-from .pretrained import default_dataset, trained_mini
 from .report import format_series, format_table
 from .scaling import NpuSpec, ScalingModel
 from .seeding import resolve_seed
@@ -174,6 +162,11 @@ class Fig1Result:
 
 def fig1_weight_distributions(model_name: str = "alexnet", layer_index: int = 1, ratio: float = 0.03) -> Fig1Result:
     """Reproduce Fig. 1 on the trained mini model's conv2 weights."""
+    # The accuracy figures import quant and the trained minis themselves,
+    # so the breakdown verbs never load them.
+    from ..quant import level_occupancy, quantize_linear, quantize_weights, sqnr_db, summarize
+    from .pretrained import trained_mini
+
     model = trained_mini(model_name)
     layer = model.compute_layers()[layer_index]
     weights = layer.weight.value
@@ -233,6 +226,9 @@ def fig2_accuracy_vs_ratio(
     ``ratio = 0`` is conventional full-range linear quantization without
     truncation or retraining, exactly the paper's baseline point.
     """
+    from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+    from .pretrained import default_dataset, trained_mini
+
     model = trained_mini(model_name)
     data = default_dataset()
     result = Fig2Result(
@@ -282,6 +278,9 @@ class Fig3Result:
 
 def fig3_accuracy_networks(networks: Optional[Sequence[str]] = None) -> Fig3Result:
     """4-bit OAQ accuracy vs full precision for every mini network."""
+    from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+    from .pretrained import default_dataset, trained_mini
+
     result = Fig3Result()
     for name in networks or ("alexnet", "vgg", "resnet", "densenet"):
         ratio = FIG3_RATIOS[name]
@@ -490,6 +489,9 @@ def fig14_ratio_sweep(
     base_run = None
     accuracy: Dict[float, float] = {}
     if with_accuracy:
+        from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+        from .pretrained import default_dataset, trained_mini
+
         model = trained_mini(mini_name)
         data = default_dataset()
         for ratio in ratios:
@@ -576,6 +578,9 @@ class Fig16Result:
 
 def fig16_outlier_histogram(model_name: str = "alexnet", ratio: float = 0.03, images: int = 100) -> Fig16Result:
     """Runtime outlier ratios under statically calibrated thresholds."""
+    from ..quant import calibrate_activation_thresholds, effective_outlier_ratios
+    from .pretrained import default_dataset, trained_mini
+
     model = trained_mini(model_name)
     data = default_dataset()
     cal = calibrate_activation_thresholds(model, data.train_x[:100], ratio=ratio)

@@ -37,9 +37,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..constants import DEFAULT_RATES, DEFAULT_WIDTHS, FAULT_MODELS, RECOVERY_POLICIES
 from ..faults import AccumulatorModel, FaultPlan, faulty_olaccel_conv2d, required_accumulator_bits
-from ..faults.plan import FAULT_MODELS
-from ..faults.validate import RECOVERY_POLICIES
 from ..obs import Registry
 from .report import format_failures, format_table
 from .seeding import resolve_seed
@@ -54,11 +53,6 @@ __all__ = [
     "fault_rate_cell",
     "fault_width_cell",
 ]
-
-#: Default per-word strike probabilities swept by ``repro faults``.
-DEFAULT_RATES = (0.0, 1e-4, 1e-3, 1e-2)
-#: Default accumulator widths swept (paper's 24-bit in the middle).
-DEFAULT_WIDTHS = (16, 20, 24, 32)
 
 #: Synthetic case geometry — big enough for spill chunks and swarm
 #: entries to appear at 3% outliers, small enough to sweep in seconds.

@@ -571,7 +571,10 @@ class RemoteCellBroker:
 
     def _plan(self, job_id: str) -> Optional[Tuple[RunDir, SweepPlan]]:
         """The job's (RunDir, plan), cached — ``None`` for run dirs the
-        network protocol does not dispatch (explore rungs; ROADMAP 2)."""
+        network protocol does not dispatch. An explore job has no
+        manifest at its root: each rung's plan exists only once the
+        previous rung has picked its survivors, so the search runs where
+        it started and its rungs are never offered to remote workers."""
         if job_id not in self._plans:
             rundir = RunDir(self.store.run_dir(job_id))
             try:

@@ -178,13 +178,24 @@ class SweepPlan:
 #: kind -> runner; a runner maps a cell's params dict to a JSON-able result.
 CELL_RUNNERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
 
+#: kind -> modules its runner imports when it runs (see register_cell_runner).
+CELL_RUNNER_MODULES: Dict[str, Tuple[str, ...]] = {}
+
 #: plan name -> assembler(plan, records) -> result object with ``format()``.
 PLAN_ASSEMBLERS: Dict[str, Callable[["SweepPlan", Dict[str, Dict[str, Any]]], Any]] = {}
 
 
-def register_cell_runner(kind: str, runner: Callable[[Dict[str, Any]], Any]) -> None:
-    """Register a cell runner; workers look their cell's kind up here."""
+def register_cell_runner(
+    kind: str, runner: Callable[[Dict[str, Any]], Any], modules: Sequence[str] = ()
+) -> None:
+    """Register a cell runner; workers look their cell's kind up here.
+
+    ``modules`` are what the runner imports when it runs. The supervisor
+    imports them before it forks the kind's first worker, so every worker
+    inherits them instead of importing them again.
+    """
     CELL_RUNNERS[kind] = runner
+    CELL_RUNNER_MODULES[kind] = tuple(modules)
 
 
 # -- built-in cells: breakdown sweeps (fig11/12/13, compare) ----------------
@@ -235,10 +246,16 @@ def _run_explore_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-register_cell_runner("breakdown", _run_breakdown_cell)
-register_cell_runner("fault_rate", _run_fault_rate_cell)
-register_cell_runner("fault_width", _run_fault_width_cell)
-register_cell_runner("explore", _run_explore_cell)
+# Each runner's driver modules, plus the simcache that all of them read.
+_SIMCACHE = "repro.harness.simcache"
+register_cell_runner("breakdown", _run_breakdown_cell, ("repro.harness.experiments", _SIMCACHE))
+register_cell_runner("fault_rate", _run_fault_rate_cell, ("repro.harness.faults", _SIMCACHE))
+register_cell_runner("fault_width", _run_fault_width_cell, ("repro.harness.faults", _SIMCACHE))
+register_cell_runner(
+    "explore",
+    _run_explore_cell,
+    ("repro.harness.explore", "repro.harness.experiments", _SIMCACHE),
+)
 
 
 def breakdown_plan(
@@ -728,6 +745,8 @@ def _execute_cells(coord: Any, jobs: int, retry: RetryPolicy, obs: Registry) -> 
         return ("timeout", f"cell exceeded its {retry.timeout_s:g}s timeout")
 
     def launch(spec: CellSpec, attempt: int) -> None:
+        for module in CELL_RUNNER_MODULES.get(spec.kind, ()):
+            __import__(module)  # once here, not once per forked worker
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_cell_worker, args=(send, spec.kind, spec.params), daemon=True)
         proc.start()

@@ -17,9 +17,10 @@ module:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["set_global_seed", "global_seed", "resolve_seed", "get_rng"]
 
@@ -47,4 +48,6 @@ def resolve_seed(seed: Optional[int] = None, default: int = 0) -> int:
 
 def get_rng(seed: Optional[int] = None, default: int = 0) -> np.random.Generator:
     """A Generator seeded by :func:`resolve_seed`'s precedence rule."""
+    import numpy as np  # deferred: the CLI sets the seed before any verb needs numpy
+
     return np.random.default_rng(resolve_seed(seed, default))

@@ -68,8 +68,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..constants import (
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_RATES,
+    DEFAULT_WIDTHS,
+    FAULT_MODELS,
+    MEMORY_TABLE,
+    RECOVERY_POLICIES,
+)
 from ..errors import ConfigError, JobError, ReproError
-from .coord import DEFAULT_HEARTBEAT_S, default_owner_id
+from .coord import default_owner_id
 from .explore import (
     DesignSpace,
     ExploreRequest,
@@ -90,10 +98,7 @@ from .resilience import (
     work_run,
 )
 from .serialize import load_json, save_json
-from ..faults.plan import FAULT_MODELS
-from ..faults.validate import RECOVERY_POLICIES
 from ..obs import Registry
-from .workloads import MEMORY_TABLE
 
 __all__ = [
     "JOB_SCHEMA",
@@ -400,8 +405,6 @@ def build_plan(request: JobRequest):
             request.network, ratio=p.get("ratio", 0.03), seed=request.seed
         )
     if request.verb == "faults":
-        from .faults import DEFAULT_RATES, DEFAULT_WIDTHS
-
         return "sweep", faults_plan(
             request.network,
             rates=tuple(p.get("rates", DEFAULT_RATES)),

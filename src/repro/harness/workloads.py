@@ -11,15 +11,17 @@ on-chip memory sizes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..arch.workload import LayerWorkload, NetworkWorkload, from_spec
-from ..nn.layers import Conv2d, Linear
-from ..nn.model import Model
+from ..constants import MEMORY_TABLE
 from ..nn.zoo_paper import build_paper
-from ..quant.qmodel import LayerQuantStats
+
+if TYPE_CHECKING:
+    from ..nn.model import Model
+    from ..quant.qmodel import LayerQuantStats
 
 __all__ = [
     "MEMORY_TABLE",
@@ -28,16 +30,6 @@ __all__ = [
     "paper_workload",
     "from_quantized_model",
 ]
-
-#: Table I on-chip activation memory per network: (16-bit, 8-bit) bytes.
-#: The deeper extension networks reuse the VGG/ResNet-18 budget.
-MEMORY_TABLE: Dict[str, Tuple[int, int]] = {
-    "alexnet": (393 * 1024, 196 * 1024),
-    "vgg16": (4800 * 1024, 2400 * 1024),
-    "resnet18": (4800 * 1024, 2400 * 1024),
-    "resnet101": (4800 * 1024, 2400 * 1024),
-    "densenet121": (4800 * 1024, 2400 * 1024),
-}
 
 
 def memory_bytes(network: str, bits: int) -> int:
@@ -87,6 +79,8 @@ def from_quantized_model(
     geometry is read off the model's layers and a single forward pass over
     ``sample_input`` (which provides each layer's input tensor shape).
     """
+    from ..nn.layers import Conv2d, Linear
+
     compute = model.compute_layers()
     if len(stats) != len(compute):
         raise ValueError(f"stats cover {len(stats)} layers but the model has {len(compute)}")

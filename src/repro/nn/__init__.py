@@ -14,79 +14,49 @@ DESIGN.md for the substitution table). It provides:
   for performance simulation.
 """
 
-from .data import SyntheticImageDataset, make_dataset
-from .layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    DenseBlock,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    Layer,
-    Linear,
-    LocalResponseNorm,
-    MaxPool2d,
-    Parameter,
-    ReLU,
-    ResidualBlock,
-)
-from .model import Model, iter_compute_layers
-from .prune import prune_layer, prune_model, weight_density
-from .train import SGD, TrainConfig, TrainResult, evaluate_loss, train_model
-from .zoo_mini import MINI_ZOO, build_mini, mini_alexnet, mini_densenet, mini_resnet, mini_vgg
-from .zoo_paper import (
-    PAPER_ZOO,
-    LayerSpec,
-    NetworkSpec,
-    alexnet_spec,
-    build_paper,
-    densenet121_spec,
-    resnet101_spec,
-    resnet18_spec,
-    vgg16_spec,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticImageDataset",
-    "make_dataset",
-    "AvgPool2d",
-    "BatchNorm2d",
-    "Conv2d",
-    "DenseBlock",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool",
-    "Layer",
-    "Linear",
-    "LocalResponseNorm",
-    "MaxPool2d",
-    "Parameter",
-    "ReLU",
-    "ResidualBlock",
-    "Model",
-    "iter_compute_layers",
-    "prune_layer",
-    "prune_model",
-    "weight_density",
-    "SGD",
-    "TrainConfig",
-    "TrainResult",
-    "evaluate_loss",
-    "train_model",
-    "MINI_ZOO",
-    "build_mini",
-    "mini_alexnet",
-    "mini_densenet",
-    "mini_resnet",
-    "mini_vgg",
-    "PAPER_ZOO",
-    "LayerSpec",
-    "NetworkSpec",
-    "alexnet_spec",
-    "build_paper",
-    "densenet121_spec",
-    "resnet101_spec",
-    "resnet18_spec",
-    "vgg16_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".data": ("SyntheticImageDataset", "make_dataset"),
+        ".layers": (
+            "AvgPool2d",
+            "BatchNorm2d",
+            "Conv2d",
+            "DenseBlock",
+            "Dropout",
+            "Flatten",
+            "GlobalAvgPool",
+            "Layer",
+            "Linear",
+            "LocalResponseNorm",
+            "MaxPool2d",
+            "Parameter",
+            "ReLU",
+            "ResidualBlock",
+        ),
+        ".model": ("Model", "iter_compute_layers"),
+        ".prune": ("prune_layer", "prune_model", "weight_density"),
+        ".train": ("SGD", "TrainConfig", "TrainResult", "evaluate_loss", "train_model"),
+        ".zoo_mini": (
+            "MINI_ZOO",
+            "build_mini",
+            "mini_alexnet",
+            "mini_densenet",
+            "mini_resnet",
+            "mini_vgg",
+        ),
+        ".zoo_paper": (
+            "PAPER_ZOO",
+            "LayerSpec",
+            "NetworkSpec",
+            "alexnet_spec",
+            "build_paper",
+            "densenet121_spec",
+            "resnet101_spec",
+            "resnet18_spec",
+            "vgg16_spec",
+        ),
+    },
+)

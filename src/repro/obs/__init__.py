@@ -17,28 +17,21 @@ without one they use :data:`NULL_REGISTRY` and record nothing.
 See docs/ARCHITECTURE.md for where each hook sits.
 """
 
-from .registry import (
-    Counter,
-    Histogram,
-    NULL_REGISTRY,
-    Registry,
-    Scope,
-    Timer,
-    get_registry,
-    set_registry,
-)
-from .trace import NULL_TRACER, TraceEvent, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Histogram",
-    "NULL_REGISTRY",
-    "Registry",
-    "Scope",
-    "Timer",
-    "get_registry",
-    "set_registry",
-    "NULL_TRACER",
-    "TraceEvent",
-    "Tracer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".registry": (
+            "Counter",
+            "Histogram",
+            "NULL_REGISTRY",
+            "Registry",
+            "Scope",
+            "Timer",
+            "get_registry",
+            "set_registry",
+        ),
+        ".trace": ("NULL_TRACER", "TraceEvent", "Tracer"),
+    },
+)

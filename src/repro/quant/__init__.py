@@ -9,67 +9,48 @@
 - :mod:`repro.quant.metrics` — quantization error metrics.
 """
 
-from .alternatives import (
-    QUANTIZER_REGISTRY,
-    QuantizerSpec,
-    compare_quantizers,
-    quantize_balanced,
-    quantize_clipped,
-    quantize_log,
-)
-from .calibrate import (
-    CalibrationResult,
-    LayerCalibration,
-    calibrate_activation_thresholds,
-    effective_outlier_ratios,
-)
-from .linear import LinearQuantizer, quantize_linear, signed_levels, unsigned_levels
-from .metrics import DistributionSummary, level_occupancy, max_abs_error, mse, sqnr_db, summarize
-from .outlier import (
-    OutlierQuantConfig,
-    QuantizedTensor,
-    magnitude_threshold,
-    quantize_activations,
-    quantize_weights,
-)
-from .finetune import FinetuneConfig, finetune_quantized, quantized_weight_view
-from .qmodel import LayerQuantStats, QuantConfig, QuantizedModel
-from .sensitivity import LayerSensitivity, SensitivityReport, layer_sensitivity, leave_one_out
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QUANTIZER_REGISTRY",
-    "QuantizerSpec",
-    "compare_quantizers",
-    "quantize_balanced",
-    "quantize_clipped",
-    "quantize_log",
-    "FinetuneConfig",
-    "finetune_quantized",
-    "quantized_weight_view",
-    "LayerSensitivity",
-    "SensitivityReport",
-    "layer_sensitivity",
-    "leave_one_out",
-    "CalibrationResult",
-    "LayerCalibration",
-    "calibrate_activation_thresholds",
-    "effective_outlier_ratios",
-    "LinearQuantizer",
-    "quantize_linear",
-    "signed_levels",
-    "unsigned_levels",
-    "DistributionSummary",
-    "level_occupancy",
-    "max_abs_error",
-    "mse",
-    "sqnr_db",
-    "summarize",
-    "OutlierQuantConfig",
-    "QuantizedTensor",
-    "magnitude_threshold",
-    "quantize_activations",
-    "quantize_weights",
-    "LayerQuantStats",
-    "QuantConfig",
-    "QuantizedModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".alternatives": (
+            "QUANTIZER_REGISTRY",
+            "QuantizerSpec",
+            "compare_quantizers",
+            "quantize_balanced",
+            "quantize_clipped",
+            "quantize_log",
+        ),
+        ".finetune": ("FinetuneConfig", "finetune_quantized", "quantized_weight_view"),
+        ".sensitivity": (
+            "LayerSensitivity",
+            "SensitivityReport",
+            "layer_sensitivity",
+            "leave_one_out",
+        ),
+        ".calibrate": (
+            "CalibrationResult",
+            "LayerCalibration",
+            "calibrate_activation_thresholds",
+            "effective_outlier_ratios",
+        ),
+        ".linear": ("LinearQuantizer", "quantize_linear", "signed_levels", "unsigned_levels"),
+        ".metrics": (
+            "DistributionSummary",
+            "level_occupancy",
+            "max_abs_error",
+            "mse",
+            "sqnr_db",
+            "summarize",
+        ),
+        ".outlier": (
+            "OutlierQuantConfig",
+            "QuantizedTensor",
+            "magnitude_threshold",
+            "quantize_activations",
+            "quantize_weights",
+        ),
+        ".qmodel": ("LayerQuantStats", "QuantConfig", "QuantizedModel"),
+    },
+)
