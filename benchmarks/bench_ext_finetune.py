@@ -13,6 +13,7 @@ the paper-shape ResNet-18 when the first layer's weights drop to 4 bits.
 from dataclasses import replace
 
 from repro.harness import default_dataset, memory_bytes, paper_workload, trained_mini
+from repro.nn import score
 from repro.olaccel import OLAccelSimulator, olaccel16
 from repro.quant import (
     FinetuneConfig,
@@ -30,10 +31,10 @@ def run_finetune():
     quant4 = QuantConfig(ratio=0.03, first_layer_weight_bits=4)
     try:
         cal = calibrate_activation_thresholds(model, data.train_x[:100], ratio=0.03)
-        before = QuantizedModel(model, cal, quant4).topk_accuracy(data.test_x, data.test_y, k=5)
+        _, before = score(QuantizedModel(model, cal, quant4), data.test_x, data.test_y)
         finetune_quantized(model, data.train_x, data.train_y, quant4, FinetuneConfig(epochs=2))
         cal2 = calibrate_activation_thresholds(model, data.train_x[:100], ratio=0.03)
-        after = QuantizedModel(model, cal2, quant4).topk_accuracy(data.test_x, data.test_y, k=5)
+        _, after = score(QuantizedModel(model, cal2, quant4), data.test_x, data.test_y)
     finally:
         for p, s in zip(model.parameters(), saved):
             p.value = s

@@ -25,6 +25,7 @@ from repro.nn import (
     ResidualBlock,
     TrainConfig,
     make_dataset,
+    score,
     train_model,
 )
 from repro.olaccel import OLAccelSimulator, olaccel_conv2d, reference_conv2d_int
@@ -64,8 +65,8 @@ def main():
 
     calibration = calibrate_activation_thresholds(model, data.train_x[:80], ratio=0.03)
     qmodel = QuantizedModel(model, calibration, QuantConfig(ratio=0.03))
-    print(f"full precision top-1: {model.accuracy(data.test_x, data.test_y):.3f}")
-    print(f"OAQ 4-bit top-1:      {qmodel.accuracy(data.test_x, data.test_y):.3f}")
+    print(f"full precision top-1: {score(model, data.test_x, data.test_y)[0]:.3f}")
+    print(f"OAQ 4-bit top-1:      {score(qmodel, data.test_x, data.test_y)[0]:.3f}")
 
     # Per-layer quantization statistics drive the hardware simulation.
     stats = qmodel.measure_layer_stats(data.test_x[:30])

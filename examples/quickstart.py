@@ -10,9 +10,9 @@ Run:  python examples/quickstart.py
 
 from repro.baselines import EyerissSimulator, ZenaSimulator
 from repro.harness import format_table, from_quantized_model
-from repro.nn import TrainConfig, make_dataset, mini_alexnet, train_model
+from repro.nn import TrainConfig, make_dataset, mini_alexnet, score, train_model
 from repro.olaccel import OLAccelSimulator
-from repro.quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+from repro.quant import QuantConfig, QuantizedModel, capture_activations
 
 
 def main():
@@ -21,24 +21,24 @@ def main():
     model = mini_alexnet(num_classes=10)
     print("training mini-alexnet ...")
     train_model(model, data.train_x, data.train_y, TrainConfig(epochs=6, lr=0.01))
-    fp_top1 = model.accuracy(data.test_x, data.test_y)
+    fp_top1, _ = score(model, data.test_x, data.test_y)
 
     # 2. Calibrate per-layer activation thresholds from ~100 sample inputs
     #    (paper Sec. II) and build the 4-bit quantized model.
-    calibration = calibrate_activation_thresholds(model, data.train_x[:100], ratio=0.03)
-    oaq = QuantizedModel(model, calibration, QuantConfig(ratio=0.03))
+    #    One activation capture serves every outlier ratio.
+    capture = capture_activations(model, data.train_x[:100])
+    oaq = QuantizedModel(model, capture.calibrate(0.03), QuantConfig(ratio=0.03))
 
     # 3. Compare against conventional linear quantization (ratio = 0).
-    cal0 = calibrate_activation_thresholds(model, data.train_x[:100], ratio=0.0)
-    linear = QuantizedModel(model, cal0, QuantConfig(ratio=0.0))
+    linear = QuantizedModel(model, capture.calibrate(0.0), QuantConfig(ratio=0.0))
 
     print(
         format_table(
             ["configuration", "top-1 accuracy"],
             [
                 ("full precision", f"{fp_top1:.3f}"),
-                ("linear 4-bit (no outliers)", f"{linear.accuracy(data.test_x, data.test_y):.3f}"),
-                ("outlier-aware 4-bit (3%)", f"{oaq.accuracy(data.test_x, data.test_y):.3f}"),
+                ("linear 4-bit (no outliers)", f"{score(linear, data.test_x, data.test_y)[0]:.3f}"),
+                ("outlier-aware 4-bit (3%)", f"{score(oaq, data.test_x, data.test_y)[0]:.3f}"),
             ],
             title="\naccuracy",
         )

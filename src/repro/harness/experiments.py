@@ -226,26 +226,18 @@ def fig2_accuracy_vs_ratio(
     ``ratio = 0`` is conventional full-range linear quantization without
     truncation or retraining, exactly the paper's baseline point.
     """
-    from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+    from ..nn.model import score
+    from ..quant import QuantConfig, QuantizedModel, capture_activations
     from .pretrained import default_dataset, trained_mini
 
     model = trained_mini(model_name)
     data = default_dataset()
-    result = Fig2Result(
-        model_name=model.name,
-        fp_top1=model.accuracy(data.test_x, data.test_y),
-        fp_top5=model.topk_accuracy(data.test_x, data.test_y, k=5),
-    )
+    fp_top1, fp_top5 = score(model, data.test_x, data.test_y)
+    result = Fig2Result(model_name=model.name, fp_top1=fp_top1, fp_top5=fp_top5)
+    capture = capture_activations(model, data.train_x[:calibration_samples])
     for ratio in ratios:
-        cal = calibrate_activation_thresholds(model, data.train_x[:calibration_samples], ratio=ratio)
-        qm = QuantizedModel(model, cal, QuantConfig(ratio=ratio))
-        result.points.append(
-            AccuracyPoint(
-                ratio=ratio,
-                top1=qm.accuracy(data.test_x, data.test_y),
-                top5=qm.topk_accuracy(data.test_x, data.test_y, k=5),
-            )
-        )
+        qm = QuantizedModel(model, capture.calibrate(ratio), QuantConfig(ratio=ratio))
+        result.points.append(AccuracyPoint(ratio, *score(qm, data.test_x, data.test_y)))
     return result
 
 
@@ -278,6 +270,7 @@ class Fig3Result:
 
 def fig3_accuracy_networks(networks: Optional[Sequence[str]] = None) -> Fig3Result:
     """4-bit OAQ accuracy vs full precision for every mini network."""
+    from ..nn.model import score
     from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
     from .pretrained import default_dataset, trained_mini
 
@@ -290,14 +283,7 @@ def fig3_accuracy_networks(networks: Optional[Sequence[str]] = None) -> Fig3Resu
         config = QuantConfig(ratio=ratio, first_layer_weight_bits=8 if name in ("resnet", "densenet") else 4)
         qm = QuantizedModel(model, cal, config)
         result.rows.append(
-            Fig3Row(
-                network=model.name,
-                ratio=ratio,
-                fp_top1=model.accuracy(data.test_x, data.test_y),
-                fp_top5=model.topk_accuracy(data.test_x, data.test_y, k=5),
-                oaq_top1=qm.accuracy(data.test_x, data.test_y),
-                oaq_top5=qm.topk_accuracy(data.test_x, data.test_y, k=5),
-            )
+            Fig3Row(model.name, ratio, *score(model, data.test_x, data.test_y), *score(qm, data.test_x, data.test_y))
         )
     return result
 
@@ -489,15 +475,16 @@ def fig14_ratio_sweep(
     base_run = None
     accuracy: Dict[float, float] = {}
     if with_accuracy:
-        from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
+        from ..nn.model import score
+        from ..quant import QuantConfig, QuantizedModel, capture_activations
         from .pretrained import default_dataset, trained_mini
 
         model = trained_mini(mini_name)
         data = default_dataset()
+        capture = capture_activations(model, data.train_x[:100])
         for ratio in ratios:
-            cal = calibrate_activation_thresholds(model, data.train_x[:100], ratio=ratio)
-            qm = QuantizedModel(model, cal, QuantConfig(ratio=ratio))
-            accuracy[ratio] = qm.topk_accuracy(data.test_x, data.test_y, k=5)
+            qm = QuantizedModel(model, capture.calibrate(ratio), QuantConfig(ratio=ratio))
+            accuracy[ratio] = score(qm, data.test_x, data.test_y)[1]
 
     for ratio in ratios:
         run = simulate_cell("olaccel16", network, ratio=ratio)
@@ -578,7 +565,7 @@ class Fig16Result:
 
 def fig16_outlier_histogram(model_name: str = "alexnet", ratio: float = 0.03, images: int = 100) -> Fig16Result:
     """Runtime outlier ratios under statically calibrated thresholds."""
-    from ..quant import calibrate_activation_thresholds, effective_outlier_ratios
+    from ..quant import calibrate_activation_thresholds, count_outliers, effective_outlier_ratios
     from .pretrained import default_dataset, trained_mini
 
     model = trained_mini(model_name)
@@ -592,14 +579,10 @@ def fig16_outlier_histogram(model_name: str = "alexnet", ratio: float = 0.03, im
     per_image = []
     for i in range(min(images, data.test_x.shape[0])):
         captured = model.record_activations(data.test_x[i : i + 1])
-        outliers = 0
-        nonzero = 0
-        for index, act in captured.items():
-            if index == 0:
-                continue
-            threshold = cal.layers[index].threshold
-            outliers += int((np.abs(act) > threshold).sum())
-            nonzero += int(np.count_nonzero(act))
+        captured.pop(0)
+        counts = [count_outliers(act, cal.layers[index].threshold) for index, act in captured.items()]
+        outliers = sum(layer_outliers for layer_outliers, _ in counts)
+        nonzero = sum(layer_nonzero for _, layer_nonzero in counts)
         per_image.append(outliers / nonzero if nonzero else 0.0)
     result.per_image = np.asarray(per_image)
     return result

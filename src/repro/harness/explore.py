@@ -533,6 +533,7 @@ def _measured_accuracy(
     network: str, act_bits: int, weight_bits: int, ratio: float, samples: int
 ) -> Dict[str, Any]:
     """Measured top-1 of the quantized mini model (``--accuracy quant``)."""
+    from ..nn.model import score
     from ..quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
     from .pretrained import default_dataset, trained_mini
 
@@ -546,7 +547,7 @@ def _measured_accuracy(
         model, cal, QuantConfig(ratio=ratio, weight_bits=weight_bits, act_bits=act_bits)
     )
     n = min(samples, len(data.test_y)) if samples else len(data.test_y)
-    top1 = qm.accuracy(data.test_x[:n], data.test_y[:n])
+    top1, _ = score(qm, data.test_x[:n], data.test_y[:n])
     return {"metric": "top1", "accuracy": float(top1), "samples": int(n), "mini": mini}
 
 

@@ -36,7 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ReLU",
             "ResidualBlock",
         ),
-        ".model": ("Model", "iter_compute_layers"),
+        ".model": ("Model", "iter_compute_layers", "score"),
         ".prune": ("prune_layer", "prune_model", "weight_density"),
         ".train": ("SGD", "TrainConfig", "TrainResult", "evaluate_loss", "train_model"),
         ".zoo_mini": (

@@ -9,13 +9,13 @@ the accelerator simulators consume.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .layers import Conv2d, Layer, Linear, Parameter
 
-__all__ = ["Model", "iter_compute_layers"]
+__all__ = ["Model", "iter_compute_layers", "score"]
 
 
 def iter_compute_layers(layers: Sequence[Layer]) -> Iterator[Layer]:
@@ -63,28 +63,6 @@ class Model:
         """All Conv2d/Linear layers in execution order."""
         return list(iter_compute_layers(self.layers))
 
-    def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Class predictions over ``x``, evaluated in batches."""
-        preds = []
-        for start in range(0, x.shape[0], batch_size):
-            logits = self.forward(x[start : start + batch_size], train=False)
-            preds.append(logits.argmax(axis=1))
-        return np.concatenate(preds)
-
-    def accuracy(self, x: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
-        """Top-1 accuracy on a labelled set."""
-        return float((self.predict(x, batch_size) == labels).mean())
-
-    def topk_accuracy(self, x: np.ndarray, labels: np.ndarray, k: int = 5, batch_size: int = 64) -> float:
-        """Top-k accuracy on a labelled set."""
-        hits = 0
-        for start in range(0, x.shape[0], batch_size):
-            batch_labels = labels[start : start + batch_size]
-            logits = self.forward(x[start : start + batch_size], train=False)
-            topk = np.argpartition(-logits, min(k, logits.shape[1] - 1), axis=1)[:, :k]
-            hits += int((topk == batch_labels[:, None]).any(axis=1).sum())
-        return hits / x.shape[0]
-
     def record_activations(self, x: np.ndarray) -> Dict[int, np.ndarray]:
         """Run ``x`` and capture the input tensor of every compute layer.
 
@@ -115,3 +93,20 @@ class Model:
 
     def num_parameters(self) -> int:
         return int(sum(p.value.size for p in self.parameters()))
+
+
+def score(model, x: np.ndarray, labels: np.ndarray, k: int = 5, batch_size: int = 64) -> Tuple[float, float]:
+    """``(top-1, top-k)`` accuracy of ``model`` on a labelled set, in one pass.
+
+    ``model`` is anything with ``forward(batch) -> logits``: a :class:`Model`
+    or a :class:`~repro.quant.qmodel.QuantizedModel`. Each batch is run
+    once and both hit counts are read off the same logits.
+    """
+    top1 = topk = 0
+    for start in range(0, x.shape[0], batch_size):
+        batch_labels = labels[start : start + batch_size]
+        logits = model.forward(x[start : start + batch_size])
+        top1 += int((logits.argmax(axis=1) == batch_labels).sum())
+        best = np.argpartition(-logits, min(k, logits.shape[1] - 1), axis=1)[:, :k]
+        topk += int((best == batch_labels[:, None]).any(axis=1).sum())
+    return top1 / x.shape[0], topk / x.shape[0]

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from . import functional as F
-from .model import Model
+from .model import Model, score
 
 __all__ = ["TrainConfig", "TrainResult", "SGD", "train_model", "evaluate_loss"]
 
@@ -128,5 +128,5 @@ def train_model(model: Model, x: np.ndarray, y: np.ndarray, config: TrainConfig)
         if config.verbose:
             print(f"epoch {epoch + 1}/{config.epochs}: loss={epoch_loss:.4f}")
 
-    result.train_accuracy = model.accuracy(x, y)
+    result.train_accuracy = score(model, x, y)[0]
     return result

@@ -30,9 +30,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "leave_one_out",
         ),
         ".calibrate": (
+            "ActivationCapture",
             "CalibrationResult",
             "LayerCalibration",
             "calibrate_activation_thresholds",
+            "capture_activations",
+            "count_outliers",
             "effective_outlier_ratios",
         ),
         ".linear": ("LinearQuantizer", "quantize_linear", "signed_levels", "unsigned_levels"),

@@ -3,7 +3,9 @@
 Computing activation histograms at runtime would be expensive, so the paper
 runs ~100 sample inputs through the network offline, records each layer's
 input-activation distribution, and fixes a per-layer magnitude threshold at
-the (1 - outlier_ratio) quantile of the *nonzero* activations. At runtime an
+the (1 - outlier_ratio) quantile of the *nonzero* activations. The capture
+is made once (:func:`capture_activations`); each outlier ratio is then just a
+quantile over it (:meth:`ActivationCapture.calibrate`). At runtime an
 activation is an outlier iff it exceeds the stored threshold — a single
 compare. Fig. 16 then checks that the *effective* runtime outlier ratio on
 held-out inputs clusters around the target.
@@ -12,14 +14,15 @@ held-out inputs clusters around the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..nn.model import Model
 from .outlier import magnitude_threshold
 
-__all__ = ["LayerCalibration", "CalibrationResult", "calibrate_activation_thresholds", "effective_outlier_ratios"]
+__all__ = ["ActivationCapture", "CalibrationResult", "LayerCalibration", "calibrate_activation_thresholds",
+           "capture_activations", "count_outliers", "effective_outlier_ratios"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,47 @@ class CalibrationResult:
         return {cal.layer_name: cal for cal in self.layers}
 
 
+@dataclass
+class ActivationCapture:
+    """Every compute layer's input activations, pooled over the sample inputs.
+
+    Only the quantile depends on the outlier ratio, so one capture serves a
+    whole ratio sweep: :meth:`calibrate` gives the same result as a fresh
+    :func:`calibrate_activation_thresholds` call on the same samples.
+    """
+
+    layer_names: List[str]
+    activations: List[np.ndarray]
+
+    def calibrate(self, ratio: float) -> CalibrationResult:
+        """Per-layer thresholds at the (1 - ``ratio``) nonzero-magnitude quantile."""
+        result = CalibrationResult(ratio=ratio)
+        for index, (name, acts) in enumerate(zip(self.layer_names, self.activations)):
+            result.layers.append(
+                LayerCalibration(
+                    layer_index=index,
+                    layer_name=name,
+                    threshold=magnitude_threshold(acts, ratio, over_nonzero=True),
+                    signed=bool(np.any(acts < 0)),
+                    nonzero_density=float(np.count_nonzero(acts) / acts.size) if acts.size else 0.0,
+                )
+            )
+        return result
+
+
+def capture_activations(model: Model, sample_inputs: np.ndarray, batch_size: int = 32) -> ActivationCapture:
+    """Run ``sample_inputs`` in batches and pool each compute layer's input."""
+    compute = model.compute_layers()
+    pooled: List[List[np.ndarray]] = [[] for _ in compute]
+    for start in range(0, sample_inputs.shape[0], batch_size):
+        for index, act in model.record_activations(sample_inputs[start : start + batch_size]).items():
+            pooled[index].append(act.ravel())
+    return ActivationCapture(
+        layer_names=[getattr(layer, "name", f"layer{index}") for index, layer in enumerate(compute)],
+        activations=[np.concatenate(chunks) if chunks else np.zeros(0) for chunks in pooled],
+    )
+
+
 def calibrate_activation_thresholds(
     model: Model,
     sample_inputs: np.ndarray,
@@ -57,31 +101,16 @@ def calibrate_activation_thresholds(
 
     ``sample_inputs`` plays the role of the paper's 100 randomly sampled
     images. Quantiles are computed over the activations pooled across all
-    sample batches.
+    sample batches. A ratio sweep should call :func:`capture_activations`
+    once and :meth:`ActivationCapture.calibrate` per ratio instead.
     """
-    compute = model.compute_layers()
-    pooled: Dict[int, List[np.ndarray]] = {i: [] for i in range(len(compute))}
-    for start in range(0, sample_inputs.shape[0], batch_size):
-        captured = model.record_activations(sample_inputs[start : start + batch_size])
-        for index, act in captured.items():
-            pooled[index].append(act.ravel())
+    return capture_activations(model, sample_inputs, batch_size).calibrate(ratio)
 
-    result = CalibrationResult(ratio=ratio)
-    for index, layer in enumerate(compute):
-        acts = np.concatenate(pooled[index]) if pooled[index] else np.zeros(0)
-        signed = bool(np.any(acts < 0))
-        threshold = magnitude_threshold(acts, ratio, over_nonzero=True)
-        density = float(np.count_nonzero(acts) / acts.size) if acts.size else 0.0
-        result.layers.append(
-            LayerCalibration(
-                layer_index=index,
-                layer_name=getattr(layer, "name", f"layer{index}"),
-                threshold=threshold,
-                signed=signed,
-                nonzero_density=density,
-            )
-        )
-    return result
+
+def count_outliers(act: np.ndarray, threshold: float) -> Tuple[int, int]:
+    """``(outliers, nonzero)`` in one activation tensor: ``|act| > threshold``
+    is an outlier, the runtime compare of Sec. II."""
+    return int((np.abs(act) > threshold).sum()), int(np.count_nonzero(act))
 
 
 def effective_outlier_ratios(
@@ -95,19 +124,11 @@ def effective_outlier_ratios(
     Returns, per layer, outliers / nonzero activations — the quantity
     Fig. 16 histograms (it should cluster near the calibration target).
     """
-    compute = model.compute_layers()
-    outliers = np.zeros(len(compute))
-    nonzeros = np.zeros(len(compute))
+    counts = np.zeros((len(calibration.layers), 2))  # (outliers, nonzero) per layer
     for start in range(0, inputs.shape[0], batch_size):
-        captured = model.record_activations(inputs[start : start + batch_size])
-        for index, act in captured.items():
-            threshold = calibration.layers[index].threshold
-            mags = np.abs(act)
-            outliers[index] += int((mags > threshold).sum())
-            nonzeros[index] += int(np.count_nonzero(act))
-
-    ratios: Dict[str, float] = {}
-    for cal in calibration.layers:
-        denom = nonzeros[cal.layer_index]
-        ratios[cal.layer_name] = float(outliers[cal.layer_index] / denom) if denom else 0.0
-    return ratios
+        for index, act in model.record_activations(inputs[start : start + batch_size]).items():
+            counts[index] += count_outliers(act, calibration.layers[index].threshold)
+    return {
+        cal.layer_name: float(counts[i, 0] / counts[i, 1]) if counts[i, 1] else 0.0
+        for i, cal in enumerate(calibration.layers)
+    }

@@ -167,24 +167,6 @@ class QuantizedModel:
 
     __call__ = forward
 
-    def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        preds = []
-        for start in range(0, x.shape[0], batch_size):
-            preds.append(self.forward(x[start : start + batch_size]).argmax(axis=1))
-        return np.concatenate(preds)
-
-    def accuracy(self, x: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
-        return float((self.predict(x, batch_size) == labels).mean())
-
-    def topk_accuracy(self, x: np.ndarray, labels: np.ndarray, k: int = 5, batch_size: int = 64) -> float:
-        hits = 0
-        for start in range(0, x.shape[0], batch_size):
-            batch_labels = labels[start : start + batch_size]
-            logits = self.forward(x[start : start + batch_size])
-            topk = np.argpartition(-logits, min(k, logits.shape[1] - 1), axis=1)[:, :k]
-            hits += int((topk == batch_labels[:, None]).any(axis=1).sum())
-        return hits / x.shape[0]
-
     # -- statistics for the simulators -----------------------------------------
 
     def measure_layer_stats(self, sample_inputs: np.ndarray, batch_size: int = 64) -> List[LayerQuantStats]:

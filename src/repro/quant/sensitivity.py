@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..nn.model import Model
+from ..nn.model import Model, score
 from .calibrate import CalibrationResult
 from .qmodel import QuantConfig, QuantizedModel
 
@@ -83,7 +83,7 @@ class _SelectiveQuantizedModel(QuantizedModel):
 
 def _evaluate(model: Model, calibration: CalibrationResult, config: QuantConfig,
               active: Callable[[int], bool], x: np.ndarray, y: np.ndarray) -> float:
-    return _SelectiveQuantizedModel(model, calibration, config, active).accuracy(x, y)
+    return score(_SelectiveQuantizedModel(model, calibration, config, active), x, y)[0]
 
 
 def layer_sensitivity(
@@ -95,7 +95,7 @@ def layer_sensitivity(
 ) -> SensitivityReport:
     """Quantize one layer at a time; reference = full-precision accuracy."""
     config = config or QuantConfig()
-    reference = model.accuracy(x, y)
+    reference = score(model, x, y)[0]
     report = SensitivityReport(mode="only-this-layer", reference_accuracy=reference)
     for index, layer in enumerate(model.compute_layers()):
         acc = _evaluate(model, calibration, config, lambda i, k=index: i == k, x, y)

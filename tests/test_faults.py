@@ -18,6 +18,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.bitcodec import decode_table, encode_table
 from repro.arch.chunks import LANES, WeightChunk
@@ -298,6 +300,40 @@ def test_required_accumulator_bits_guarantees_avoidance():
     acc = AccumulatorModel(width_bits=bits, mode="saturate")
     reference = reference_conv2d_int(acts, weights, pad=1)
     assert np.array_equal(reference_conv2d_int(acts, weights, pad=1, acc=acc), reference)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    c_in=st.integers(1, 16),
+    c_out=st.integers(1, 4),
+    kernel=st.sampled_from([1, 3, 5]),
+    act_max=st.integers(1, (1 << 16) - 1),  # up to a 16-bit unsigned outlier activation
+    weight_max=st.integers(1, (1 << 7) - 1),  # up to an 8-bit signed outlier weight
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_required_accumulator_bits_is_sufficient_and_tight(c_in, c_out, kernel, act_max, weight_max, seed):
+    """Colbert et al.'s bound as a property: no width at or above
+    ``required_accumulator_bits`` overflows on any operands in range, and
+    one bit narrower overflows when every operand is at its maximum."""
+    bits = required_accumulator_bits(c_in * kernel * kernel, act_max, weight_max)
+    rng = np.random.default_rng(seed)
+    size = kernel + 2
+    random_case = (
+        rng.integers(0, act_max + 1, size=(1, c_in, size, size)),
+        rng.integers(-weight_max, weight_max + 1, size=(c_out, c_in, kernel, kernel)),
+    )
+    signs = rng.choice([-1, 1], size=(c_out, 1, 1, 1))
+    worst_case = (
+        np.full((1, c_in, size, size), act_max),
+        signs * np.full((c_out, c_in, kernel, kernel), weight_max),
+    )
+    for acts, weights in (random_case, worst_case):
+        psums = reference_conv2d_int(acts, weights)
+        for width in (bits, bits + 1, 63):
+            assert AccumulatorModel(width_bits=width).overflows(psums) == 0
+    if bits - 1 >= 2:  # the narrowest accumulator the model allows
+        worst = reference_conv2d_int(*worst_case)
+        assert AccumulatorModel(width_bits=bits - 1).overflows(worst) == worst.size
 
 
 # ---------------------------------------------------------------- datapath properties

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import score
 from repro.olaccel import olaccel_conv2d, reference_conv2d_int
 from repro.olaccel.mapper import compile_model
 from repro.quant import QuantConfig, QuantizedModel, calibrate_activation_thresholds
@@ -78,5 +79,5 @@ class TestProgramExecution:
         prog, data = program
         logits = prog.run(data.test_x)
         acc = (logits.argmax(axis=1) == data.test_y).mean()
-        fp = tiny_trained_model.accuracy(data.test_x, data.test_y)
+        fp, _ = score(tiny_trained_model, data.test_x, data.test_y)
         assert acc >= fp - 0.25

@@ -20,6 +20,7 @@ from repro.nn import (
     mini_vgg,
     prune_layer,
     prune_model,
+    score,
     train_model,
     weight_density,
 )
@@ -56,8 +57,7 @@ class TestModel:
 
     def test_topk_bounds_top1(self, rng, small_dataset):
         model = mini_alexnet(num_classes=small_dataset.num_classes)
-        top1 = model.accuracy(small_dataset.test_x, small_dataset.test_y)
-        top5 = model.topk_accuracy(small_dataset.test_x, small_dataset.test_y, k=5)
+        top1, top5 = score(model, small_dataset.test_x, small_dataset.test_y, k=5)
         assert 0.0 <= top1 <= top5 <= 1.0
 
 
@@ -74,7 +74,7 @@ class TestTraining:
 
     def test_trained_model_beats_chance(self, tiny_trained_model, small_dataset):
         chance = 1.0 / small_dataset.num_classes
-        acc = tiny_trained_model.accuracy(small_dataset.test_x, small_dataset.test_y)
+        acc, _ = score(tiny_trained_model, small_dataset.test_x, small_dataset.test_y)
         assert acc > 2 * chance
 
     def test_gradient_clipping_bounds_norm(self, rng):

@@ -150,7 +150,7 @@ class TestFinetune:
     def test_finetuning_recovers_4bit_first_layer(self, small_dataset):
         """The paper's footnote: fine-tuning lets the first layer drop to
         4-bit weights without the accuracy penalty."""
-        from repro.nn import TrainConfig, mini_alexnet, train_model
+        from repro.nn import TrainConfig, mini_alexnet, score, train_model
         from repro.quant import QuantizedModel, calibrate_activation_thresholds
 
         model = mini_alexnet(num_classes=small_dataset.num_classes, seed=21)
@@ -158,10 +158,10 @@ class TestFinetune:
                     TrainConfig(epochs=4, lr=0.01, seed=1))
         quant = QuantConfig(ratio=0.03, first_layer_weight_bits=4)
         cal = calibrate_activation_thresholds(model, small_dataset.train_x[:60], ratio=0.03)
-        before = QuantizedModel(model, cal, quant).accuracy(small_dataset.test_x, small_dataset.test_y)
+        before, _ = score(QuantizedModel(model, cal, quant), small_dataset.test_x, small_dataset.test_y)
 
         finetune_quantized(model, small_dataset.train_x, small_dataset.train_y, quant,
                            FinetuneConfig(epochs=2, lr=0.002))
         cal2 = calibrate_activation_thresholds(model, small_dataset.train_x[:60], ratio=0.03)
-        after = QuantizedModel(model, cal2, quant).accuracy(small_dataset.test_x, small_dataset.test_y)
+        after, _ = score(QuantizedModel(model, cal2, quant), small_dataset.test_x, small_dataset.test_y)
         assert after >= before - 0.05  # fine-tuning does not hurt; usually helps

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import score
 from repro.quant import (
     QuantConfig,
     QuantizedModel,
@@ -28,14 +29,14 @@ class TestOnlyThisLayer:
     def test_reference_is_full_precision(self, setup):
         model, data, cal, config = setup
         report = layer_sensitivity(model, cal, data.test_x, data.test_y, config)
-        assert report.reference_accuracy == pytest.approx(model.accuracy(data.test_x, data.test_y))
+        assert report.reference_accuracy == pytest.approx(score(model, data.test_x, data.test_y)[0])
 
     def test_single_layer_hurts_less_than_all(self, setup):
         """Quantizing one layer can never do worse than the worst case of
         quantizing everything (sanity ordering on average)."""
         model, data, cal, config = setup
         report = layer_sensitivity(model, cal, data.test_x, data.test_y, config)
-        full = QuantizedModel(model, cal, config).accuracy(data.test_x, data.test_y)
+        full, _ = score(QuantizedModel(model, cal, config), data.test_x, data.test_y)
         mean_single = float(np.mean([r.accuracy for r in report.rows]))
         assert mean_single >= full - 0.05
 
@@ -57,7 +58,7 @@ class TestLeaveOneOut:
     def test_reference_is_fully_quantized(self, setup):
         model, data, cal, config = setup
         report = leave_one_out(model, cal, data.test_x, data.test_y, config)
-        full = QuantizedModel(model, cal, config).accuracy(data.test_x, data.test_y)
+        full, _ = score(QuantizedModel(model, cal, config), data.test_x, data.test_y)
         assert report.reference_accuracy == pytest.approx(full)
 
     def test_format_lists_layers(self, setup):
