@@ -5,9 +5,11 @@ Convolution reduces to matrix multiplication, the only way to get acceptable
 throughput out of pure numpy. A training forward pass (``train=True``) goes
 through :func:`im2col` and keeps the patch matrix for the backward pass, which
 scatters gradients back with :func:`col2im`. An inference forward pass keeps no
-backward state: :func:`conv2d` runs one batched GEMM per convolution on a
-``(C*kh*kw, out_h*out_w)`` patch matrix, already in NCHW order, and
-:func:`maxpool2d` takes a running maximum over strided slices.
+backward state: :func:`conv2d` gathers a few images' ``(C*kh*kw, out_h*out_w)``
+patch matrices at a time into one reused, cache-sized buffer and runs the same
+per-image GEMMs as a one-shot batched matmul would, so its output is
+bit-identical to it and already in NCHW order; :func:`maxpool2d` takes a
+running maximum over strided slices.
 
 These functions are the computational substrate everything else builds on:
 the trainable layers in :mod:`repro.nn.layers`, the quantized executor in
@@ -70,6 +72,12 @@ _COORD_CACHE_MAX = 64
 #: slices carry a few hundred elements the slice-adds win back (the
 #: scatter's index/copy traffic dominates, measured down to ~0.2x).
 _SCATTER_SLICE_LIMIT = 256
+
+#: Byte budget of the inference conv's patch buffer. :func:`conv2d` gathers
+#: as many images' patch matrices per GEMM batch as fit in it (at least one),
+#: so the buffer is still in L2 when the GEMM reads it, where one patch
+#: matrix for the whole batch would be tens of MB of fresh pages.
+_PATCH_BUFFER_BYTES = 1 << 20
 
 
 def _coord_table(
@@ -202,12 +210,17 @@ def conv2d(
 
     With ``train=True`` the input is unfolded by :func:`im2col` and ``cache``
     carries that matrix for :func:`conv2d_backward`. With ``train=False``
-    ``cache`` is ``None``: each image's patches are gathered into a
+    ``cache`` is ``None``: each image's patches form a
     ``(C_in*K_h*K_w, out_h*out_w)`` matrix (reduction order (c, kh, kw), as
-    in im2col) and one batched GEMM writes the output directly in NCHW. The
-    two paths sum the same products in a different BLAS order, so they agree
-    to about 1e-13 absolute on float64, not bit for bit; training keeps the
-    im2col path so trained weights do not depend on this.
+    in im2col), and one GEMM per image writes the output directly in NCHW.
+    The patches are gathered a chunk of images at a time into one reused
+    buffer of about :data:`_PATCH_BUFFER_BYTES`. Each chunk's batched matmul
+    issues the same per-image GEMMs, on the same C-contiguous operands, as
+    one matmul over a whole-batch patch matrix, so the output is
+    bit-identical to it. The inference and training paths sum the same
+    products in a different BLAS order, so they agree to about 1e-13
+    absolute on float64, not bit for bit; training keeps the im2col path so
+    trained weights do not depend on this.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, k_h, k_w = weight.shape
@@ -220,15 +233,24 @@ def conv2d(
     if not train:
         if pad > 0:
             x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-        # Strided view (N, C, kh, kw, oh, ow); the reshape is its one copy.
+        # Strided view (N, C, kh, kw, oh, ow), copied chunk by chunk into buf.
         sn, sc, sh, sw = x.strides
-        patches = np.lib.stride_tricks.as_strided(
+        windows = np.lib.stride_tricks.as_strided(
             x,
             shape=(n, c_in, k_h, k_w, out_h, out_w),
             strides=(sn, sc, sh, sw, sh * stride, sw * stride),
             writeable=False,
-        ).reshape(n, c_in * k_h * k_w, out_h * out_w)
-        y = np.matmul(weight.reshape(c_out, -1), patches)
+        )
+        k, p = c_in * k_h * k_w, out_h * out_w
+        chunk = max(1, min(n, _PATCH_BUFFER_BYTES // (k * p * x.itemsize)))
+        buf = np.empty((chunk,) + windows.shape[1:], dtype=x.dtype)
+        patches = buf.reshape(chunk, k, p)
+        w_mat = weight.reshape(c_out, k)
+        y = np.empty((n, c_out, p), dtype=np.result_type(weight, x))
+        for s in range(0, n, chunk):
+            b = min(chunk, n - s)
+            np.copyto(buf[:b], windows[s : s + b])
+            np.matmul(w_mat, patches[:b], out=y[s : s + b])
         if bias is not None:
             y += bias[:, None]
         return y.reshape(n, c_out, out_h, out_w), None

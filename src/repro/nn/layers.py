@@ -217,15 +217,19 @@ class Linear(Layer):
 
 class ReLU(Layer):
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        y, mask = F.relu(x)
-        self._mask = mask if train else None
+        if not train:
+            self._cache = None
+            return np.maximum(x, 0.0)
+        y, self._cache = F.relu(x)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return F.relu_backward(dy, self._mask)
+        if self._cache is None:
+            raise RuntimeError("backward called without a training forward pass")
+        return F.relu_backward(dy, self._cache)
 
 
 class MaxPool2d(Layer):

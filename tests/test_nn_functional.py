@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, MaxPool2d
+from repro.nn.layers import Conv2d, MaxPool2d, ReLU
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -22,6 +22,34 @@ def naive_conv2d(x, w, b, stride, pad):
                     patch = xp[ni, :, oh * stride : oh * stride + kh, ow * stride : ow * stride + kw]
                     y[ni, oc, oh, ow] = (patch * w[oc]).sum() + (b[oc] if b is not None else 0.0)
     return y
+
+
+def one_shot_conv2d(x, w, b, stride, pad):
+    """The inference conv without blocking: one whole-batch patch matrix, one matmul."""
+    n, c_in, h, wdt = x.shape
+    c_out, _, kh, kw = w.shape
+    out_h = F.conv_out_size(h, kh, stride, pad)
+    out_w = F.conv_out_size(wdt, kw, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    sn, sc, sh, sw = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c_in, kh, kw, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    ).reshape(n, c_in * kh * kw, out_h * out_w)
+    y = np.matmul(w.reshape(c_out, -1), patches)
+    if b is not None:
+        y += b[:, None]
+    return y.reshape(n, c_out, out_h, out_w)
+
+
+def images_per_chunk(x_shape, kernel, stride, pad, itemsize=8):
+    """How many images the inference conv gathers per patch buffer."""
+    n, c_in, h, w = x_shape
+    per_image = c_in * kernel * kernel * itemsize
+    per_image *= F.conv_out_size(h, kernel, stride, pad) * F.conv_out_size(w, kernel, stride, pad)
+    return max(1, min(n, F._PATCH_BUFFER_BYTES // per_image))
 
 
 class TestConvForward:
@@ -71,7 +99,9 @@ class TestConvForwardTraining(TestConvForward):
 class TestInferencePath:
     """``train=False`` keeps no backward state and computes the same outputs."""
 
-    @pytest.mark.parametrize("batch", [1, 7])
+    # 130 images cross a chunk boundary for every kernel here (chunks of
+    # 129, 14 and 5 images for kernels 1, 3 and 5).
+    @pytest.mark.parametrize("batch", [1, 7, 130])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     def test_conv2d_inference_matches_training_path(self, rng, batch, kernel):
         x = rng.normal(size=(batch, 6, 13, 13))
@@ -97,10 +127,60 @@ class TestInferencePath:
         assert np.array_equal(y_inf, y_train)
         assert np.array_equal(np.signbit(y_inf), np.signbit(y_train))
 
+    # What each case covers -> (x shape, c_out, kernel, stride, pad, dtype).
+    BLOCKED_CASES = {
+        "ragged_batch": ((20, 4, 16, 16), 5, 3, 1, 1, np.float64),
+        "one_image": ((1, 4, 16, 16), 5, 3, 1, 1, np.float64),
+        "empty_batch": ((0, 4, 16, 16), 5, 3, 1, 1, np.float64),
+        "image_over_budget": ((3, 16, 32, 32), 4, 3, 1, 1, np.float64),
+        "many_chunks": ((43, 4, 16, 16), 5, 3, 1, 1, np.float64),
+        "stride2": ((10, 3, 15, 15), 6, 3, 2, 1, np.float64),
+        "pad0": ((10, 3, 12, 12), 6, 3, 1, 0, np.float64),
+        "kernel1x1": ((10, 8, 9, 9), 6, 1, 1, 0, np.float64),
+        "float32_input": ((20, 4, 16, 16), 5, 3, 1, 1, np.float32),
+    }
+
+    def test_blocked_cases_cover_the_chunking(self):
+        chunks = {
+            name: (shape[0], images_per_chunk(shape, k, stride, pad, np.dtype(dtype).itemsize))
+            for name, (shape, _, k, stride, pad, dtype) in self.BLOCKED_CASES.items()
+        }
+        n, chunk = chunks["ragged_batch"]
+        assert 1 < chunk < n and n % chunk
+        assert chunks["one_image"] == (1, 1)
+        assert chunks["image_over_budget"][1] == 1
+        n, chunk = chunks["many_chunks"]
+        assert chunk > 1 and n > 2 * chunk
+
+    @pytest.mark.parametrize("case", list(BLOCKED_CASES))
+    def test_conv2d_inference_is_bit_identical_to_one_shot_gemm(self, rng, case):
+        shape, c_out, kernel, stride, pad, dtype = self.BLOCKED_CASES[case]
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(c_out, shape[1], kernel, kernel))
+        b = rng.normal(size=c_out)
+        y, cache = F.conv2d(x, w, b, stride, pad)
+        want = one_shot_conv2d(x, w, b, stride, pad)
+        assert cache is None
+        assert y.dtype == want.dtype and y.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(y, want)
+
+    def test_grouped_conv_inference_is_bit_identical_to_one_shot_gemm(self, rng):
+        layer = Conv2d(8, 6, 3, pad=1, groups=2, rng=rng)
+        layer.bias.value = rng.normal(size=6)
+        x = rng.normal(size=(20, 8, 16, 16))
+        w, b = layer.weight.value, layer.bias.value
+        want = np.concatenate(
+            [one_shot_conv2d(x[:, 4 * g : 4 * g + 4], w[3 * g : 3 * g + 3], b[3 * g : 3 * g + 3], 1, 1) for g in range(2)],
+            axis=1,
+        )
+        y = layer.forward(x)
+        assert y.dtype == want.dtype and y.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(y, want)
+
     @pytest.mark.parametrize(
         "layer",
-        [Conv2d(4, 6, 3, pad=1), Conv2d(4, 6, 3, pad=1, groups=2), MaxPool2d(2)],
-        ids=["conv", "conv_groups2", "maxpool"],
+        [Conv2d(4, 6, 3, pad=1), Conv2d(4, 6, 3, pad=1, groups=2), MaxPool2d(2), ReLU()],
+        ids=["conv", "conv_groups2", "maxpool", "relu"],
     )
     def test_layers_keep_no_cache_outside_training(self, rng, layer):
         x = rng.normal(size=(2, 4, 6, 6))
