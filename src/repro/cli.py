@@ -16,7 +16,7 @@ Usage::
     python -m repro bench                # vectorized-vs-scalar benchmarks
     python -m repro explore alexnet      # design-space Pareto search
     python -m repro export alexnet --out results/   # CSV + JSON breakdown
-    python -m repro run fig11 --cache-dir ~/.repro-cache   # warm reruns
+    python -m repro faults alexnet --cache-dir ~/.repro-cache  # warm reruns
     python -m repro cache stats --cache-dir ~/.repro-cache # inspect it
     python -m repro serve --spool /tmp/spool --port 8765   # HTTP job server
 
@@ -75,16 +75,19 @@ same in each; a flag of the other mode (``--lease-ttl``,
 ``--heartbeat``, ``--no-verify``, ``--json`` with ``--connect``;
 ``--linger``, ``--request-timeout`` without it) exits 2.
 
-Sweep cells are additionally **memoized** (docs/PERFORMANCE.md):
+The cells worth persisting are additionally **memoized**
+(docs/PERFORMANCE.md): fault cells and explore cost and accuracy cells.
 ``run``/``compare``/``faults``/``bench``/``explore``/``resume`` take
-``--cache-dir DIR`` to persist every simulated cell content-addressed
-under DIR — a
-repeat invocation with the same configuration replays from the cache and
-produces a byte-identical envelope — and ``--no-cache`` to bypass
-memoization entirely. ``repro cache stats|clear|prune`` inspects and
-maintains the directory. Cache settings travel to ``--jobs`` workers via
-the ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` environment variables, which
-the flags set.
+``--cache-dir DIR`` to persist those cells content-addressed under DIR —
+a repeat invocation with the same configuration replays them from the
+cache and produces a byte-identical envelope — and ``--no-cache`` to
+bypass memoization entirely. The analytic breakdown cells of
+``run``/``compare`` always compute directly: their cycle models cost
+less than a cache lookup, so either flag leaves them and their envelope
+unchanged. ``repro cache stats|clear|prune`` inspects and maintains the
+directory. Cache settings travel to ``--jobs`` workers via the
+``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` environment variables, which the
+flags set.
 
 Each verb imports its drivers inside its handler: ``repro --help``,
 ``repro list`` and usage errors import no numpy, and ``run fig11`` loads
@@ -748,9 +751,10 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="persist simulated cells content-addressed under DIR so "
-             "repeat invocations replay from the cache; shared safely "
-             "by --jobs workers (docs/PERFORMANCE.md)",
+        help="persist the cells worth persisting (fault and explore "
+             "cells; analytic breakdown cells always compute) "
+             "content-addressed under DIR so repeat invocations replay "
+             "them; shared safely by --jobs workers (docs/PERFORMANCE.md)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

@@ -71,64 +71,17 @@ def _simulator(kind: str, network: str, ratio: float = 0.03, obs=None):
     raise ValueError(f"unknown accelerator kind {kind!r}")
 
 
-#: Per-process memo of workload content digests keyed (network, ratio).
-#: ``paper_workload`` is a pure function of its arguments, so one digest
-#: of its full layer-spec JSON identifies the workload in every cell key
-#: without re-canonicalizing the 20-odd layer dicts per lookup (the
-#: digest computation dominated the warm hit path otherwise).
-_WORKLOAD_DIGESTS: Dict[tuple, str] = {}
+def simulate_cell(kind: str, network: str, ratio: float = 0.03):
+    """Simulate one (accelerator, network) breakdown cell.
 
-
-def _workload_digest(network: str, ratio: float, workload) -> str:
-    from .serialize import content_digest, to_jsonable
-
-    key = (network, float(ratio))
-    digest = _WORKLOAD_DIGESTS.get(key)
-    if digest is None:
-        digest = content_digest({"layers": to_jsonable(workload)})
-        _WORKLOAD_DIGESTS[key] = digest
-    return digest
-
-
-def simulate_cell(kind: str, network: str, ratio: float = 0.03, cache=None):
-    """Simulate one (accelerator, network) sweep cell through the simcache.
-
-    The cache key covers everything the result depends on: the
-    accelerator id and its full config dataclass (so quant bits, buffer
-    sizes and ablation switches each flip the key), a digest of the
-    network's full layer specs plus the outlier ratio, the stats schema
-    version, and the code-version salt (docs/PERFORMANCE.md). Results
-    decode through the lossless ``RunStats`` round-trip, so a warm cell
-    is byte-identical to a cold one. ``cache=None`` resolves the
-    process-wide cache (``--cache-dir``/``--no-cache`` via their
-    environment variables). A miss runs the plain
-    :meth:`simulate_network`.
+    Runs the plain :meth:`simulate_network` of the ``kind`` accelerator
+    on the network's paper workload, with no simcache in between: a
+    ResNet-18 cell's cycle/energy model costs 0.08–0.24 ms, less than
+    keying, copying or verifying a cached entry (docs/PERFORMANCE.md,
+    "What it buys, honestly"). Fault cells and explore cells keep the
+    cache.
     """
-    from .serialize import run_stats_from_dict
-    from .simcache import get_active
-
-    cache = cache if cache is not None else get_active()
-    sim = _simulator(kind, network, ratio)
-    workload = paper_workload(network, ratio=ratio)
-    from ..arch.stats import STATS_SCHEMA_VERSION
-
-    components = {
-        "cell": "breakdown",
-        "accelerator": kind,
-        "accel_config": sim.config,
-        "network": network,
-        "ratio": float(ratio),
-        "workload_digest": _workload_digest(network, ratio, workload),
-        "fault_plan": None,
-        "stats_schema": STATS_SCHEMA_VERSION,
-    }
-
-    return cache.memoize(
-        components,
-        lambda: sim.simulate_network(workload),
-        encode=lambda run: run.to_dict(),
-        decode=run_stats_from_dict,
-    )
+    return _simulator(kind, network, ratio).simulate_network(paper_workload(network, ratio=ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -385,17 +385,22 @@ class ParetoArchive:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_digest(network: str, ratio: float) -> str:
-    """Workload digest for (network, ratio), built lazily and memoized.
+#: Per-process memo of workload content digests keyed (network, ratio).
+#: ``paper_workload`` is a pure function of its arguments, so one digest
+#: of its full layer-spec JSON identifies the workload in every cell key
+#: without re-canonicalizing the 20-odd layer dicts per lookup (the
+#: digest computation dominated the warm hit path otherwise).
+_WORKLOAD_DIGESTS: Dict[tuple, str] = {}
 
-    On the warm path this avoids constructing the workload at all —
-    the per-process digest memo in ``experiments`` satisfies repeats.
-    """
-    from .experiments import _WORKLOAD_DIGESTS, _workload_digest
 
-    digest = _WORKLOAD_DIGESTS.get((network, float(ratio)))
+def _workload_digest(network: str, ratio: float) -> str:
+    """Workload digest for (network, ratio); repeats build no workload."""
+    key = (network, float(ratio))
+    digest = _WORKLOAD_DIGESTS.get(key)
     if digest is None:
-        digest = _workload_digest(network, ratio, paper_workload(network, ratio=ratio))
+        workload = paper_workload(network, ratio=ratio)
+        digest = content_digest({"layers": to_jsonable(workload)})
+        _WORKLOAD_DIGESTS[key] = digest
     return digest
 
 
@@ -427,13 +432,15 @@ def explore_cell(
         "network": network,
         "ratio": float(cand.ratio),
         "fidelity_layers": fidelity_layers,
-        "workload_digest": _ratio_digest(network, cand.ratio),
+        "workload_digest": _workload_digest(network, cand.ratio),
         "fault_plan": None,
         "stats_schema": STATS_SCHEMA_VERSION,
     }
-    cached = cache.contains(components)
+    cached = True  # unless compute() runs: a miss, a corrupt entry or --no-cache
 
     def compute() -> Dict[str, float]:
+        nonlocal cached
+        cached = False
         workload = paper_workload(network, ratio=cand.ratio)
         if fidelity_layers is not None:
             workload = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])

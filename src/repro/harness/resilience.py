@@ -206,9 +206,6 @@ def _run_breakdown_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     from .experiments import simulate_cell
 
     kind, network, ratio = params["accelerator"], params["network"], params["ratio"]
-    # Workers resolve the shared cache from the environment
-    # (REPRO_CACHE_DIR / REPRO_NO_CACHE), so a resumed or --jobs run
-    # treats warm cells exactly like completed ones: decode + reuse.
     return simulate_cell(kind, network, ratio=ratio).to_dict()
 
 
@@ -246,16 +243,12 @@ def _run_explore_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-# Each runner's driver modules, plus the simcache that all of them read.
+# Each runner's driver modules, plus the simcache for the cells it memoizes.
 _SIMCACHE = "repro.harness.simcache"
-register_cell_runner("breakdown", _run_breakdown_cell, ("repro.harness.experiments", _SIMCACHE))
+register_cell_runner("breakdown", _run_breakdown_cell, ("repro.harness.experiments",))
 register_cell_runner("fault_rate", _run_fault_rate_cell, ("repro.harness.faults", _SIMCACHE))
 register_cell_runner("fault_width", _run_fault_width_cell, ("repro.harness.faults", _SIMCACHE))
-register_cell_runner(
-    "explore",
-    _run_explore_cell,
-    ("repro.harness.explore", "repro.harness.experiments", _SIMCACHE),
-)
+register_cell_runner("explore", _run_explore_cell, ("repro.harness.explore", _SIMCACHE))
 
 
 def breakdown_plan(

@@ -1,17 +1,22 @@
 """Persistent content-addressed cache of simulation cells (``simcache``).
 
-The sweep verbs (``run``, ``compare``, ``faults``) are grids of pure
-cells — one (accelerator config, network workload, quant config, fault
-plan, seed) point each — and most cells are bit-identical across
-invocations. This module memoizes them:
+The sweep verbs are grids of pure cells — one (accelerator config,
+network workload, quant config, fault plan, seed) point each — and most
+cells are bit-identical across invocations. This module memoizes the
+cells that cost more to compute than to replay: fault cells
+(``faults``) and explore cost and accuracy cells (``explore``, whose
+``--accuracy quant`` cells score the trained minis). The analytic
+breakdown cells of ``run``/``compare`` compute directly, because their
+cycle models are cheaper than a key, a copy or a verified disk read
+(docs/PERFORMANCE.md):
 
 - **Key** — a SHA-256 digest of the cell's canonical JSON *components*
   (accelerator id + full config dataclass, layer specs, quant/outlier
   parameters, seed-relevant inputs, fault plan) mixed with a
   ``code_version`` salt (:data:`CODE_VERSION`); bump the salt whenever
   simulator semantics change and every old entry silently misses.
-- **Value** — the cell's serialized result (``RunStats.to_dict`` /
-  fault-sweep row), stored one file per key under
+- **Value** — the cell's serialized result (a fault-sweep row, an
+  explore cycles/energy dict), stored one file per key under
   ``<root>/<key[:2]>/<key>.json`` through the PR 4 artifact layer:
   atomic temp+fsync+rename writes with an embedded ``__integrity__``
   digest, verified on every read. A corrupt or truncated entry is a
@@ -132,23 +137,6 @@ class SimCache:
         if self.root is None:
             return None
         return self.root / key[:2] / f"{key}.json"
-
-    def contains(self, components: Dict[str, Any]) -> bool:
-        """Non-mutating probe: is this cell already stored?
-
-        Checks the memory layer, then mere disk-file existence — no
-        read, no integrity verification, and no lookup counters, so
-        callers (the explorer's hit/miss accounting) can ask without
-        perturbing ``simcache/*`` reconciliation. A corrupt entry can
-        answer ``True`` here and still recompute in :meth:`memoize`.
-        """
-        if not self.enabled:
-            return False
-        key = self.key(components)
-        if key in self._memory:
-            return True
-        path = self.entry_path(key)
-        return path is not None and path.exists()
 
     def _memory_get(self, key: str) -> Optional[Any]:
         value = self._memory.get(key)

@@ -249,6 +249,15 @@ class TestCells:
         with pytest.raises(ConfigError):
             explore_cell("lenet5", cand, cache=fresh_cache)
 
+    def test_corrupt_entry_counts_as_evaluated(self, tmp_path):
+        cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
+        cold = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
+        (entry,) = tmp_path.glob("*/*.json")
+        entry.write_text(entry.read_text()[:40])  # torn write
+        with pytest.warns(RuntimeWarning, match="integrity"):
+            again = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
+        assert again == cold  # recomputed, so not a hit
+
     def test_accuracy_proxy_is_deterministic_and_orders_precision(self, fresh_cache):
         a = accuracy_cell("alexnet", 4, 4, 0.03, mode="proxy", seed=7, cache=fresh_cache)
         b = accuracy_cell("alexnet", 4, 4, 0.03, mode="proxy", seed=7, cache=SimCache())
@@ -296,6 +305,23 @@ class TestExploreRun:
         assert result.candidates == SMALL_SPACE.size()
         assert result.pruned + len(result.evaluated) == result.candidates
         assert envelope["schema"] == EXPLORE_SCHEMA
+
+    def test_each_cost_cell_is_keyed_once(self, fresh_cache, monkeypatch):
+        from repro.harness import simcache
+
+        keyed = []
+        real = simcache.cache_key
+        monkeypatch.setattr(
+            simcache, "cache_key", lambda *args, **kw: keyed.append(1) or real(*args, **kw)
+        )
+        for label in ("cold", "warm"):
+            obs = Registry()
+            keyed.clear()
+            explore_run(_request(strategy="grid", accuracy="none"), obs=obs)
+            _assert_reconciles(obs)
+            cells = _counter(obs, "explore/evaluated") + _counter(obs, "explore/cache_hits")
+            assert cells > 0 and len(keyed) == cells, label
+        assert _counter(obs, "explore/evaluated") == 0  # the warm pass only hit
 
     def test_max_candidates_counts_as_pruned(self, fresh_cache):
         obs = Registry()

@@ -5,8 +5,8 @@ Covers the PR 5 cache guarantees: keys flip on every semantic input
 are structured misses that recompute rather than return wrong results,
 cold / warm / ``--no-cache`` envelopes are byte-identical, concurrent
 workers can share one cache directory, the ``simcache/*`` counters
-reconcile exactly, and a warm fault sweep replays from disk without
-recomputing.
+reconcile exactly, a warm fault sweep replays from disk without
+recomputing, and the analytic breakdown cells never touch the cache.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.harness.faults import fault_rate_cell, fault_width_cell
-from repro.harness.experiments import breakdown_experiment, simulate_cell
+from repro.harness.faults import fault_rate_cell, fault_sweep, fault_width_cell
+from repro.harness.experiments import breakdown_experiment
+from repro.harness.explore import Candidate, explore_cell
 from repro.harness.resilience import canonical_envelope_bytes
 from repro.harness.serialize import load_json
 from repro.harness import simcache as simcache_mod
@@ -89,17 +90,20 @@ def test_cache_key_flips_on_every_component_and_salt():
     assert cache_key(base, code_version=CODE_VERSION + "-next") != key
 
 
-def test_simulate_cell_key_flips_on_accelerator_config(tmp_path):
-    # olaccel16 vs olaccel8 differ only through the accelerator id and
-    # its config dataclass — distinct cells, two misses, zero hits
+def test_explore_cell_key_flips_on_accelerator_config(tmp_path):
+    # two candidates that differ only in the accumulator width differ
+    # only through their accelerator config — distinct cells, two
+    # misses, zero hits
     obs = Registry()
     cache = SimCache(root=tmp_path, obs=obs)
-    simulate_cell("olaccel16", "alexnet", cache=cache)
-    simulate_cell("olaccel8", "alexnet", cache=cache)
+    wide, narrow = Candidate(8, 6, 384, 0.03, 24, 4, 4), Candidate(8, 6, 384, 0.03, 16, 4, 4)
+    assert wide.accel_config() != narrow.accel_config()
+    explore_cell("alexnet", wide, cache=cache)
+    explore_cell("alexnet", narrow, cache=cache)
     assert _snap(obs, "misses") == 2
     assert _snap(obs, "hits") == 0
     # the same cell again is a pure hit
-    simulate_cell("olaccel16", "alexnet", cache=cache)
+    assert explore_cell("alexnet", wide, cache=cache)["cached"]
     assert _snap(obs, "misses") == 2
     assert _snap(obs, "hits") == 1
 
@@ -293,17 +297,18 @@ def test_cold_warm_and_nocache_envelopes_byte_identical(tmp_path):
     assert envelopes["cold"] == envelopes["warm"] == envelopes["nocache"]
 
 
-def test_once_per_invocation_within_one_experiment(tmp_path):
-    # repeated cells inside a single invocation simulate exactly once,
+def test_once_per_invocation_within_one_sweep(tmp_path):
+    # repeated cells inside a single process simulate exactly once,
     # even with no --cache-dir (the memory layer covers it)
     obs = Registry()
     set_active(SimCache(root=None, obs=obs))
-    breakdown_experiment("alexnet")
+    first = fault_sweep("alexnet", rates=(0.0, 1e-3), widths=(24,))
     misses_first = _snap(obs, "misses")
-    assert misses_first > 0 and _snap(obs, "hits") == 0
-    breakdown_experiment("alexnet")
+    assert misses_first == 3 and _snap(obs, "hits") == 0
+    again = fault_sweep("alexnet", rates=(0.0, 1e-3), widths=(24,))
     assert _snap(obs, "misses") == misses_first  # nothing recomputed
     assert _snap(obs, "hits") == misses_first
+    assert again.rate_rows == first.rate_rows and again.width_rows == first.width_rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +373,22 @@ def test_warm_fault_sweep_replays_without_recompute(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one cell path: a breakdown cell miss runs the plain simulate_network
+# breakdown cells compute directly: no lookup, no entry, same result
 # ---------------------------------------------------------------------------
 
 
-def test_breakdown_stores_one_entry_per_accelerator(tmp_path):
+def test_breakdown_cells_bypass_the_cache(tmp_path):
     from repro.harness.experiments import ALL_ACCELERATORS, _simulator
-    from repro.harness.workloads import paper_workload
+    from repro.harness.workloads import MEMORY_TABLE, paper_workload
 
     obs = Registry()
-    runs = {}
-    for label, cache in (
-        ("cold", SimCache(root=tmp_path, obs=obs)),
-        ("warm", SimCache(root=tmp_path)),
-        ("nocache", SimCache(enabled=False)),
-    ):
-        set_active(cache)
-        runs[label] = breakdown_experiment("alexnet").runs
-    assert _snap(obs, "stores") == len(ALL_ACCELERATORS)
-    assert SimCache(root=tmp_path).stats()["entries"] == len(ALL_ACCELERATORS)
-
-    workload = paper_workload("alexnet", ratio=0.03)
-    for kind in ALL_ACCELERATORS:
-        plain = _simulator(kind, "alexnet", 0.03).simulate_network(workload).to_dict()
-        for label, by_kind in runs.items():
-            assert by_kind[kind].to_dict() == plain, (label, kind)
+    set_active(SimCache(root=tmp_path, obs=obs))
+    for network in MEMORY_TABLE:  # the five paper networks
+        runs = breakdown_experiment(network).runs
+        workload = paper_workload(network, ratio=0.03)
+        for kind in ALL_ACCELERATORS:
+            plain = _simulator(kind, network, 0.03).simulate_network(workload).to_dict()
+            assert runs[kind].to_dict() == plain, (network, kind)
+    assert _snap(obs, "lookups") == 0
+    assert _snap(obs, "stores") == 0
+    assert SimCache(root=tmp_path).stats()["entries"] == 0
