@@ -80,14 +80,16 @@ The cells worth persisting are additionally **memoized**
 ``run``/``compare``/``faults``/``bench``/``explore``/``resume`` take
 ``--cache-dir DIR`` to persist those cells content-addressed under DIR —
 a repeat invocation with the same configuration replays them from the
-cache and produces a byte-identical envelope — and ``--no-cache`` to
-bypass memoization entirely. The analytic breakdown cells of
+cache and produces a byte-identical envelope. The cache has one tier,
+that directory: without it (or with ``--no-cache``, which overrides
+``--cache-dir`` and ``REPRO_CACHE_DIR``) every cell computes directly,
+with no key, store or copy. The analytic breakdown cells of
 ``run``/``compare`` always compute directly: their cycle models cost
 less than a cache lookup, so either flag leaves them and their envelope
 unchanged. ``repro cache stats|clear|prune`` inspects and maintains the
 directory. Cache settings travel to ``--jobs`` workers via the
 ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` environment variables, which the
-flags set.
+flags set for the length of one ``main()`` call.
 
 Each verb imports its drivers inside its handler: ``repro --help``,
 ``repro list`` and usage errors import no numpy, and ``run fig11`` loads
@@ -758,28 +760,33 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the simulation cache entirely (every cell recomputes)",
+        help="ignore --cache-dir and REPRO_CACHE_DIR: every cell computes "
+             "directly, as without a cache directory",
     )
 
 
-def _apply_cache_flags(args: argparse.Namespace) -> None:
-    """Publish the cache flags as environment variables.
+def _apply_cache_flags(args: argparse.Namespace) -> Dict[str, Any]:
+    """Publish the cache flags as environment variables for one call.
 
     Env vars (not direct plumbing) so forked *and* spawned ``--jobs``
     workers resolve the identical cache configuration, and so run-dir
     manifests/cell params stay byte-identical whether or not a cache is
-    attached.
+    attached. Returns the values they replaced (``None``: unset), which
+    :func:`main` puts back when the call ends, so a later call in the
+    same process sees only its own flags.
     """
     cache_dir, no_cache = getattr(args, "cache_dir", None), getattr(args, "no_cache", False)
     if not (cache_dir or no_cache or "repro.harness.simcache" in sys.modules):
-        return  # nothing to publish, and no resolved cache to drop
+        return {}  # nothing to publish, and no resolved cache to drop
     from .harness.simcache import CACHE_DIR_ENV, NO_CACHE_ENV, set_active
 
-    if cache_dir:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    if no_cache:
-        os.environ[NO_CACHE_ENV] = "1"
+    replaced = {}
+    for name, value in ((CACHE_DIR_ENV, cache_dir), (NO_CACHE_ENV, no_cache and "1")):
+        if value:
+            replaced[name] = os.environ.get(name)
+            os.environ[name] = str(value)
     set_active(None)
+    return replaced
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
@@ -1155,7 +1162,7 @@ def main(argv: List[str] = None) -> int:
         print(f"error: {lease_error}", file=sys.stderr)
         return 2
     set_global_seed(getattr(args, "seed", None))
-    _apply_cache_flags(args)
+    replaced_env = _apply_cache_flags(args)
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -1163,3 +1170,9 @@ def main(argv: List[str] = None) -> int:
         # workers and flushed completed cells; exit like a shell would.
         print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        for name, value in replaced_env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value

@@ -23,18 +23,18 @@ cycle models are cheaper than a key, a copy or a verified disk read
   structured **miss** (``simcache/corrupt`` counter + a
   :class:`ChunkIntegrityError`-family warning naming the path and
   reason) and the cell recomputes — never a wrong result.
-- **Layers** — every :class:`SimCache` holds a bounded in-process LRU
-  of decoded-entry payloads in front of the optional disk root, so one
-  invocation simulates each distinct cell at most once even without
-  ``--cache-dir``. Concurrent ``--jobs`` workers share the disk root
-  safely: writes are atomic renames and identical keys carry identical
-  bytes.
+- **One tier** — the verified ``--cache-dir`` directory is the only
+  tier. Without a root a cell computes directly, with no key, store or
+  copy: no command looks the same cell up twice in one process, so an
+  in-process layer would only add cost (docs/PERFORMANCE.md).
+  Concurrent ``--jobs`` workers share the disk root safely: writes are
+  atomic renames and identical keys carry identical bytes.
 
 Process-wide resolution (:func:`get_active`) honors the CLI flags via
 environment variables — ``REPRO_CACHE_DIR`` (sets the disk root) and
-``REPRO_NO_CACHE`` (every lookup bypasses) — so forked/spawned sweep
-workers inherit the caller's cache configuration without any change to
-run-dir manifests or cell params.
+``REPRO_NO_CACHE`` (no root, whatever the directory) — so forked and
+spawned sweep workers inherit the caller's cache configuration without
+any change to run-dir manifests or cell params.
 
 Observability lands under ``simcache/*`` and reconciles exactly::
 
@@ -45,10 +45,8 @@ Observability lands under ``simcache/*`` and reconciles exactly::
 
 from __future__ import annotations
 
-import copy
 import os
 import warnings
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -78,9 +76,6 @@ CODE_VERSION = "pr5-2026-08-05"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 
-#: Default bound on the per-process in-memory entry layer.
-MEMORY_ENTRIES_DEFAULT = 1024
-
 
 def cache_key(components: Dict[str, Any], code_version: str = CODE_VERSION) -> str:
     """Canonical content digest of a cell's key components.
@@ -96,26 +91,16 @@ def cache_key(components: Dict[str, Any], code_version: str = CODE_VERSION) -> s
 
 
 class SimCache:
-    """A two-layer (memory LRU + optional disk root) simulation cache.
+    """A simulation cache backed by one verified directory.
 
-    ``root=None`` keeps the cache memory-only (the default per-process
-    behavior: each distinct cell simulates at most once per
-    invocation). ``enabled=False`` turns every lookup into a counted
-    bypass — the ``--no-cache`` semantics.
+    ``root=None`` (the default, and the ``--no-cache`` semantics) keys
+    and stores nothing: every lookup is a counted bypass that computes
+    the cell.
     """
 
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        enabled: bool = True,
-        obs: Optional[Registry] = None,
-        memory_entries: int = MEMORY_ENTRIES_DEFAULT,
-    ):
+    def __init__(self, root: Optional[Union[str, Path]] = None, obs: Optional[Registry] = None):
         self.root = Path(root) if root else None
-        self.enabled = enabled
-        self.memory_entries = max(1, int(memory_entries))
         self._obs = obs
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
 
     # -- observability ------------------------------------------------------
 
@@ -137,19 +122,6 @@ class SimCache:
         if self.root is None:
             return None
         return self.root / key[:2] / f"{key}.json"
-
-    def _memory_get(self, key: str) -> Optional[Any]:
-        value = self._memory.get(key)
-        if value is not None:
-            self._memory.move_to_end(key)
-        return value
-
-    def _memory_put(self, key: str, encoded: Any) -> None:
-        self._memory[key] = encoded
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-            self._count("evictions")
 
     def _disk_get(self, key: str) -> Optional[Any]:
         path = self.entry_path(key)
@@ -208,32 +180,29 @@ class SimCache:
         return ``decode(stored)``**, so cold and warm results are
         identical by construction — a lossless ``encode``/``decode``
         pair (e.g. ``RunStats.to_dict``/``from_dict``) makes warm
-        envelopes byte-identical to cold ones. ``decode`` receives a
-        fresh copy each call; cached state is never aliased to callers.
+        envelopes byte-identical to cold ones. A stored form is decoded
+        once, from a fresh disk read or a fresh ``encode``, so callers
+        never share state.
 
         Every call counts one ``simcache/lookups`` plus exactly one of
-        ``hits``/``misses``/``bypassed``.
+        ``hits``/``misses``/``bypassed``; without a root it is always
+        ``bypassed`` and no key is computed.
         """
         encode = encode if encode is not None else to_jsonable
         decode = decode if decode is not None else (lambda doc: doc)
         self._count("lookups")
-        if not self.enabled:
+        if self.root is None:
             self._count("bypassed")
             return decode(encode(compute()))
         key = self.key(components)
-        encoded = self._memory_get(key)
-        if encoded is None:
-            encoded = self._disk_get(key)
-            if encoded is not None:
-                self._memory_put(key, encoded)
+        encoded = self._disk_get(key)
         if encoded is not None:
             self._count("hits")
-            return decode(copy.deepcopy(encoded))
+            return decode(encoded)
         self._count("misses")
         encoded = encode(compute())
-        self._memory_put(key, encoded)
         self._disk_put(key, encoded, components)
-        return decode(copy.deepcopy(encoded))
+        return decode(encoded)
 
     # -- maintenance (the ``repro cache`` verb) -----------------------------
 
@@ -259,14 +228,12 @@ class SimCache:
             nbytes += st.st_size
         return {
             "root": str(self.root) if self.root is not None else None,
-            "enabled": self.enabled,
             "entries": entries,
             "bytes": nbytes,
-            "memory_entries": len(self._memory),
         }
 
     def clear(self) -> int:
-        """Delete every entry (disk and memory); returns files removed."""
+        """Delete every entry; returns files removed."""
         removed = 0
         for path, _ in list(self._entries()):
             try:
@@ -281,7 +248,6 @@ class SimCache:
                         shard.rmdir()
                     except OSError:
                         pass
-        self._memory.clear()
         return removed
 
     def prune(self, max_bytes: int) -> Tuple[int, int]:
@@ -332,8 +298,6 @@ class SimCache:
 # ---------------------------------------------------------------------------
 
 _active: Optional[SimCache] = None
-_env_cache: Optional[SimCache] = None
-_env_snapshot: Optional[Tuple[str, str]] = None
 
 
 def set_active(cache: Optional[SimCache]) -> None:
@@ -345,17 +309,12 @@ def set_active(cache: Optional[SimCache]) -> None:
 def get_active() -> SimCache:
     """The process-wide cache: explicit pin, else env-var resolution.
 
-    Without ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` this is a memory-only
-    cache, so repeated cells within one invocation simulate once. The
-    resolved instance is kept until the environment changes, preserving
-    its memory layer across calls.
+    Built afresh from the environment on each call (there is no
+    in-process state to keep): ``REPRO_CACHE_DIR`` sets the root unless
+    ``REPRO_NO_CACHE`` is set, and without a root every cell computes
+    directly.
     """
-    global _env_cache, _env_snapshot
     if _active is not None:
         return _active
-    snapshot = (os.environ.get(NO_CACHE_ENV, ""), os.environ.get(CACHE_DIR_ENV, ""))
-    if _env_cache is None or snapshot != _env_snapshot:
-        no_cache, root = snapshot
-        _env_cache = SimCache(root=root or None, enabled=not no_cache)
-        _env_snapshot = snapshot
-    return _env_cache
+    no_cache = os.environ.get(NO_CACHE_ENV)
+    return SimCache(root=None if no_cache else os.environ.get(CACHE_DIR_ENV))

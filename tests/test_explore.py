@@ -73,7 +73,7 @@ def _repro(*argv, env=None, timeout=300):
 
 @pytest.fixture()
 def fresh_cache():
-    """Pin a private memory-only simcache so tests don't share hits."""
+    """Pin a rootless simcache: every cell computes, none is stored."""
     cache = SimCache()
     set_active(cache)
     yield cache
@@ -222,10 +222,10 @@ class TestPareto:
 
 
 class TestCells:
-    def test_explore_cell_reports_cache_provenance(self, fresh_cache):
+    def test_explore_cell_reports_cache_provenance(self, tmp_path):
         cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
-        cold = explore_cell("alexnet", cand, cache=fresh_cache)
-        warm = explore_cell("alexnet", cand, cache=fresh_cache)
+        cold = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
+        warm = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
         assert cold["cached"] is False and warm["cached"] is True
         stripped = lambda row: {k: v for k, v in row.items() if k != "cached"}
         assert stripped(cold) == stripped(warm)
@@ -306,9 +306,10 @@ class TestExploreRun:
         assert result.pruned + len(result.evaluated) == result.candidates
         assert envelope["schema"] == EXPLORE_SCHEMA
 
-    def test_each_cost_cell_is_keyed_once(self, fresh_cache, monkeypatch):
+    def test_each_cost_cell_is_keyed_once(self, fresh_cache, tmp_path, monkeypatch):
         from repro.harness import simcache
 
+        set_active(SimCache(root=tmp_path))  # the warm pass replays from disk
         keyed = []
         real = simcache.cache_key
         monkeypatch.setattr(
@@ -403,7 +404,7 @@ class TestReproducibility:
             _, cold = explore_run(_request(), obs=obs_cold)
             assert _counter(obs_cold, "explore/cache_hits") == 0
 
-            # A fresh SimCache instance: memory layer empty, disk warm.
+            # A fresh SimCache instance on the warm directory.
             set_active(SimCache(root=cache_dir))
             obs_warm = Registry()
             _, warm = explore_run(_request(), obs=obs_warm)

@@ -3,10 +3,11 @@
 Covers the PR 5 cache guarantees: keys flip on every semantic input
 (accelerator config, fault plan, code-version salt), corrupt entries
 are structured misses that recompute rather than return wrong results,
-cold / warm / ``--no-cache`` envelopes are byte-identical, concurrent
-workers can share one cache directory, the ``simcache/*`` counters
-reconcile exactly, a warm fault sweep replays from disk without
-recomputing, and the analytic breakdown cells never touch the cache.
+default / cold / warm / ``--no-cache`` envelopes are byte-identical,
+concurrent workers can share one cache directory, the ``simcache/*``
+counters reconcile exactly, a warm fault sweep replays from disk without
+recomputing, without a root nothing is keyed or stored, and the analytic
+breakdown cells never touch the cache.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.harness.faults import fault_rate_cell, fault_sweep, fault_width_cell
 from repro.harness.experiments import breakdown_experiment
-from repro.harness.explore import Candidate, explore_cell
+from repro.harness.explore import Candidate, DesignSpace, ExploreRequest, explore_cell, explore_run
 from repro.harness.resilience import canonical_envelope_bytes
 from repro.harness.serialize import load_json
 from repro.harness import simcache as simcache_mod
@@ -41,14 +42,12 @@ from repro.obs import Registry
 def _isolated_cache_env():
     """Snapshot/restore the cache env vars and the process-wide pin.
 
-    ``main()`` mutates ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` and the
-    module memoizes the env-resolved cache; every test starts and ends
-    from a clean slate so ordering cannot leak state.
+    ``main()`` mutates ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``; every
+    test starts and ends from a clean slate so ordering cannot leak
+    state.
     """
     saved = {name: os.environ.get(name) for name in (CACHE_DIR_ENV, NO_CACHE_ENV)}
     set_active(None)
-    simcache_mod._env_cache = None
-    simcache_mod._env_snapshot = None
     yield
     for name, value in saved.items():
         if value is None:
@@ -56,8 +55,6 @@ def _isolated_cache_env():
         else:
             os.environ[name] = value
     set_active(None)
-    simcache_mod._env_cache = None
-    simcache_mod._env_snapshot = None
 
 
 def _snap(obs: Registry, name: str) -> int:
@@ -190,7 +187,7 @@ def test_wrong_schema_or_key_treated_as_corrupt(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# counters reconcile; memory layer is bounded
+# counters reconcile
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +196,7 @@ def test_counters_reconcile_exactly(tmp_path):
     cache = SimCache(root=tmp_path, obs=obs)
     for x in (1, 2, 1, 3, 2, 1):
         cache.memoize({"x": x}, lambda x=x: x * x)
-    bypass = SimCache(root=tmp_path, enabled=False, obs=obs)
+    bypass = SimCache(root=None, obs=obs)
     for x in (1, 9):
         bypass.memoize({"x": x}, lambda x=x: x * x)
     snap = obs.snapshot()
@@ -211,19 +208,6 @@ def test_counters_reconcile_exactly(tmp_path):
         snap["simcache/hits"] + snap["simcache/misses"] + snap["simcache/bypassed"]
     )
     assert snap["simcache/stores"] == 3
-
-
-def test_memory_layer_is_lru_bounded(tmp_path):
-    obs = Registry()
-    cache = SimCache(root=None, obs=obs, memory_entries=2)
-    cache.memoize({"x": 1}, lambda: 1)
-    cache.memoize({"x": 2}, lambda: 2)
-    cache.memoize({"x": 1}, lambda: -1)  # hit refreshes recency
-    cache.memoize({"x": 3}, lambda: 3)  # evicts x=2, not x=1
-    assert len(cache._memory) == 2
-    assert _snap(obs, "evictions") == 1
-    assert cache.memoize({"x": 1}, lambda: -1) == 1  # survived (refreshed)
-    assert cache.memoize({"x": 2}, lambda: 22) == 22  # was evicted, recomputes
 
 
 def test_hits_return_fresh_copies_never_aliases(tmp_path):
@@ -260,7 +244,6 @@ def test_stats_clear_and_mtime_lru_prune(tmp_path):
 
     assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
-    assert cache.stats()["memory_entries"] == 0
 
 
 def test_cache_cli_verb(tmp_path, capsys):
@@ -273,12 +256,11 @@ def test_cache_cli_verb(tmp_path, capsys):
     assert main(["cache", "prune", "--cache-dir", str(root), "--max-bytes", "0"]) == 0
     assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
     assert "0 entries" in capsys.readouterr().out
-    os.environ.pop(CACHE_DIR_ENV, None)  # earlier --cache-dir set the env
     assert main(["cache", "stats"]) == 2  # no dir anywhere → usage error
 
 
 # ---------------------------------------------------------------------------
-# envelope byte-identity: cold == warm == --no-cache
+# envelope byte-identity: default == cold == warm == --no-cache
 # ---------------------------------------------------------------------------
 
 
@@ -287,6 +269,7 @@ def test_cold_warm_and_nocache_envelopes_byte_identical(tmp_path):
     args = ["faults", "alexnet", "--rates", "0", "1e-3", "--widths", "24"]
     envelopes = {}
     for label, extra in (
+        ("default", []),
         ("cold", ["--cache-dir", str(root)]),
         ("warm", ["--cache-dir", str(root)]),
         ("nocache", ["--no-cache"]),
@@ -294,21 +277,63 @@ def test_cold_warm_and_nocache_envelopes_byte_identical(tmp_path):
         out = tmp_path / f"{label}.json"
         assert main(args + extra + ["--json", str(out)]) == 0
         envelopes[label] = canonical_envelope_bytes(load_json(out))
-    assert envelopes["cold"] == envelopes["warm"] == envelopes["nocache"]
+    assert (
+        envelopes["default"] == envelopes["cold"] == envelopes["warm"] == envelopes["nocache"]
+    )
 
 
-def test_once_per_invocation_within_one_sweep(tmp_path):
-    # repeated cells inside a single process simulate exactly once,
-    # even with no --cache-dir (the memory layer covers it)
+def test_each_call_flags_win_over_an_earlier_call(tmp_path):
+    # main() publishes its cache flags as env vars for --jobs workers
+    # and puts them back on return, so a later in-process call does not
+    # inherit what an earlier one set
+    root = tmp_path / "cache"
+    args = ["faults", "alexnet", "--rates", "0", "1e-3", "--widths", "24"]
+    assert main(args + ["--no-cache", "--json", str(tmp_path / "a.json")]) == 0
+    assert main(args + ["--cache-dir", str(root), "--json", str(tmp_path / "b.json")]) == 0
+    assert SimCache(root=root).stats()["entries"] == 3
+    more = ["faults", "alexnet", "--rates", "1e-2", "--widths", "16"]
+    assert main(more + ["--json", str(tmp_path / "c.json")]) == 0  # no flag: no cache
+    assert SimCache(root=root).stats()["entries"] == 3
+    assert CACHE_DIR_ENV not in os.environ and NO_CACHE_ENV not in os.environ
+
+
+def _sweep_and_search():
+    """A fault sweep and a small explore search on the active cache."""
+    sweep = fault_sweep("alexnet", rates=(0.0, 1e-3), widths=(24,), seed=0)
+    space = DesignSpace(
+        clusters=(4, 8), groups=(6,), buffers_kib=(96,), ratios=(0.01,),
+        acc_bits=(16,), act_bits=(4, 8), weight_bits=(4,),
+    )
+    result, _ = explore_run(ExploreRequest(network="alexnet", seed=7, space=space))
+    return sweep.rate_rows, sweep.width_rows, result.evaluated, result.frontier
+
+
+def test_without_a_root_nothing_is_keyed_or_stored(tmp_path, monkeypatch):
+    # no --cache-dir: every cell computes directly, with no key and no
+    # file, and the rows equal a disk-rooted run's
+    from repro.harness import seeding
+
+    # explore_run installs its seed process-wide; restore it afterwards
+    monkeypatch.setattr(seeding, "_GLOBAL_SEED", seeding.global_seed())
+    keyed = []
+    real = simcache_mod.cache_key
+    monkeypatch.setattr(
+        simcache_mod, "cache_key", lambda *args, **kw: keyed.append(1) or real(*args, **kw)
+    )
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
     obs = Registry()
-    set_active(SimCache(root=None, obs=obs))
-    first = fault_sweep("alexnet", rates=(0.0, 1e-3), widths=(24,))
-    misses_first = _snap(obs, "misses")
-    assert misses_first == 3 and _snap(obs, "hits") == 0
-    again = fault_sweep("alexnet", rates=(0.0, 1e-3), widths=(24,))
-    assert _snap(obs, "misses") == misses_first  # nothing recomputed
-    assert _snap(obs, "hits") == misses_first
-    assert again.rate_rows == first.rate_rows and again.width_rows == first.width_rows
+    set_active(SimCache(obs=obs))
+    rows = _sweep_and_search()
+    assert keyed == []
+    assert _snap(obs, "lookups") == _snap(obs, "bypassed") > 0
+    assert _snap(obs, "stores") == 0
+    assert list(tmp_path.rglob("*")) == [workdir]
+
+    set_active(SimCache(root=tmp_path / "cache"))
+    assert _sweep_and_search() == rows
+    assert keyed
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +372,9 @@ def test_jobs_workers_resolve_cache_from_env(tmp_path):
     # processes resolve it through get_active()
     os.environ[CACHE_DIR_ENV] = str(tmp_path)
     os.environ.pop(NO_CACHE_ENV, None)
-    simcache_mod._env_cache = None
-    resolved = get_active()
-    assert resolved.root == tmp_path and resolved.enabled
+    assert get_active().root == tmp_path
     os.environ[NO_CACHE_ENV] = "1"
-    assert not get_active().enabled  # env change re-resolves
+    assert get_active().root is None  # env change re-resolves
 
 
 # ---------------------------------------------------------------------------
