@@ -5,11 +5,12 @@ Convolution reduces to matrix multiplication, the only way to get acceptable
 throughput out of pure numpy. A training forward pass (``train=True``) goes
 through :func:`im2col` and keeps the patch matrix for the backward pass, which
 scatters gradients back with :func:`col2im`. An inference forward pass keeps no
-backward state: :func:`conv2d` gathers a few images' ``(C*kh*kw, out_h*out_w)``
-patch matrices at a time into one reused, cache-sized buffer and runs the same
-per-image GEMMs as a one-shot batched matmul would, so its output is
-bit-identical to it and already in NCHW order; :func:`maxpool2d` takes a
-running maximum over strided slices.
+backward state: :func:`conv2d` pads a few images at a time into a
+zero-bordered staging buffer, gathers their ``(C*kh*kw, out_h*out_w)`` patch
+matrices into one reused, cache-sized buffer and runs the same per-image GEMMs
+as a one-shot batched matmul would, so its output is bit-identical to it and
+already in NCHW order; :func:`maxpool2d` takes a running maximum over strided
+slices.
 
 These functions are the computational substrate everything else builds on:
 the trainable layers in :mod:`repro.nn.layers`, the quantized executor in
@@ -214,13 +215,17 @@ def conv2d(
     ``(C_in*K_h*K_w, out_h*out_w)`` matrix (reduction order (c, kh, kw), as
     in im2col), and one GEMM per image writes the output directly in NCHW.
     The patches are gathered a chunk of images at a time into one reused
-    buffer of about :data:`_PATCH_BUFFER_BYTES`. Each chunk's batched matmul
+    buffer of about :data:`_PATCH_BUFFER_BYTES`. With ``pad > 0`` each
+    chunk's images are first copied into the interior of a staging buffer
+    of one chunk's padded images, whose borders are zeroed once per call, so
+    no padded copy of the whole batch is made. Each chunk's batched matmul
     issues the same per-image GEMMs, on the same C-contiguous operands, as
     one matmul over a whole-batch patch matrix, so the output is
-    bit-identical to it. The inference and training paths sum the same
-    products in a different BLAS order, so they agree to about 1e-13
-    absolute on float64, not bit for bit; training keeps the im2col path so
-    trained weights do not depend on this.
+    bit-identical to it; the bias is added to that chunk's output right
+    after its GEMM, while it is still in cache. The inference and training
+    paths sum the same products in a different BLAS order, so they agree to
+    about 1e-13 absolute on float64, not bit for bit; training keeps the
+    im2col path so trained weights do not depend on this.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, k_h, k_w = weight.shape
@@ -231,28 +236,37 @@ def conv2d(
     out_w = conv_out_size(w, k_w, stride, pad)
 
     if not train:
+        k, p = c_in * k_h * k_w, out_h * out_w
+        chunk = max(1, min(n, _PATCH_BUFFER_BYTES // (k * p * x.itemsize)))
         if pad > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+            # One chunk's padded images; the borders stay zero across chunks.
+            source = np.zeros((chunk, c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            interior = source[:, :, pad : pad + h, pad : pad + w]
+        else:
+            source = x
         # Strided view (N, C, kh, kw, oh, ow), copied chunk by chunk into buf.
-        sn, sc, sh, sw = x.strides
+        sn, sc, sh, sw = source.strides
         windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c_in, k_h, k_w, out_h, out_w),
+            source,
+            shape=(source.shape[0], c_in, k_h, k_w, out_h, out_w),
             strides=(sn, sc, sh, sw, sh * stride, sw * stride),
             writeable=False,
         )
-        k, p = c_in * k_h * k_w, out_h * out_w
-        chunk = max(1, min(n, _PATCH_BUFFER_BYTES // (k * p * x.itemsize)))
         buf = np.empty((chunk,) + windows.shape[1:], dtype=x.dtype)
         patches = buf.reshape(chunk, k, p)
         w_mat = weight.reshape(c_out, k)
         y = np.empty((n, c_out, p), dtype=np.result_type(weight, x))
         for s in range(0, n, chunk):
             b = min(chunk, n - s)
-            np.copyto(buf[:b], windows[s : s + b])
-            np.matmul(w_mat, patches[:b], out=y[s : s + b])
-        if bias is not None:
-            y += bias[:, None]
+            if pad > 0:
+                interior[:b] = x[s : s + b]
+                np.copyto(buf[:b], windows[:b])
+            else:
+                np.copyto(buf[:b], windows[s : s + b])
+            out = y[s : s + b]
+            np.matmul(w_mat, patches[:b], out=out)
+            if bias is not None:
+                out += bias[:, None]
         return y.reshape(n, c_out, out_h, out_w), None
 
     cols = im2col(x, k_h, k_w, stride, pad)

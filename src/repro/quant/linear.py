@@ -72,20 +72,39 @@ class LinearQuantizer:
         """Largest representable real magnitude."""
         return self.max_level * self.delta
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Real values -> clipped integer levels (round-to-nearest)."""
+    def float_levels(self, x: np.ndarray) -> np.ndarray:
+        """Real values -> clipped levels (round-to-nearest), as float64.
+
+        One pass over one fresh buffer: divide by ``delta`` into it (an
+        unsigned grid takes ``max(x, 0)`` first, which its clip would zero
+        anyway), then ``rint``, clip and ``+= 0.0`` in place. The last step
+        turns ``rint``'s ``-0.0`` into the ``+0.0`` an integer level
+        converts back to, so the result equals :meth:`quantize` converted
+        to float64 byte for byte (finite inputs).
+        """
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        levels = np.rint(np.asarray(x) / self.delta)
-        return np.clip(levels, self.min_level, self.max_level).astype(np.int64)
+        x = np.asarray(x)
+        levels = np.empty(x.shape, dtype=np.result_type(x, self.delta))
+        if self.signed:
+            np.divide(x, self.delta, out=levels)
+        else:
+            np.maximum(x, 0.0, out=levels)
+            np.divide(levels, self.delta, out=levels)
+        np.rint(levels, out=levels)
+        np.clip(levels, self.min_level, self.max_level, out=levels)
+        levels += 0.0
+        return levels.astype(np.float64, copy=False)
 
-    def dequantize(self, levels: np.ndarray) -> np.ndarray:
-        """Integer levels -> real values."""
-        return np.asarray(levels, dtype=np.float64) * self.delta
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        """Real values -> clipped integer levels (round-to-nearest)."""
+        return self.float_levels(x).astype(np.int64)
 
     def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        """Quantize and dequantize in one step."""
-        return self.dequantize(self.quantize(x))
+        """Quantize and dequantize in one step, scaling the levels in place."""
+        values = self.float_levels(x)
+        values *= self.delta
+        return values
 
     @classmethod
     def from_range(cls, max_abs: float, bits: int, signed: bool = True) -> "LinearQuantizer":

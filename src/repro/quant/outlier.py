@@ -125,17 +125,17 @@ def magnitude_threshold(x: np.ndarray, ratio: float, over_nonzero: bool = False)
     return float(np.quantile(mags, 1.0 - ratio))
 
 
-def _quantize(x: np.ndarray, threshold: float, config: OutlierQuantConfig) -> QuantizedTensor:
+def _grid(threshold: float, config: OutlierQuantConfig) -> LinearQuantizer:
+    """The OAQ grid: step ``threshold / normal_max``, ``outlier_bits`` of levels."""
     normal_max = signed_levels(config.normal_bits) if config.signed else unsigned_levels(config.normal_bits)
-    outlier_max = signed_levels(config.outlier_bits) if config.signed else unsigned_levels(config.outlier_bits)
-    if threshold <= 0:
-        # All-zero (or empty) data: any positive step represents it exactly.
-        delta = 1.0
-    else:
-        delta = threshold / normal_max
-    quantizer = LinearQuantizer(delta=delta, bits=config.outlier_bits, signed=config.signed)
-    levels = np.clip(quantizer.quantize(x), -outlier_max if config.signed else 0, outlier_max)
-    return QuantizedTensor(levels=levels, delta=delta, threshold=threshold, config=config)
+    # All-zero (or empty) data: any positive step represents it exactly.
+    delta = threshold / normal_max if threshold > 0 else 1.0
+    return LinearQuantizer(delta=delta, bits=config.outlier_bits, signed=config.signed)
+
+
+def _quantize(x: np.ndarray, threshold: float, config: OutlierQuantConfig) -> QuantizedTensor:
+    quantizer = _grid(threshold, config)
+    return QuantizedTensor(levels=quantizer.quantize(x), delta=quantizer.delta, threshold=threshold, config=config)
 
 
 def quantize_weights(

@@ -11,6 +11,15 @@ convolution boundary.
 The first layer is special (Sec. II): it consumes raw network input at
 16/8 bits (signed linear grid over the calibrated range) and, for
 ResNet-style networks, uses 8-bit weights.
+
+Activations are fake-quantized in one pass over one fresh buffer per layer
+entry (:meth:`~repro.quant.linear.LinearQuantizer.float_levels`, then an
+in-place scale by the step), with each layer's OAQ grid built once from its
+threshold. Integer levels are never materialized for activations, so
+:meth:`QuantizedModel.measure_layer_stats` counts nonzeros and outliers on
+the float levels before scaling; weights keep their
+:class:`~repro.quant.outlier.QuantizedTensor` integer levels, which the
+packers need.
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ import numpy as np
 from ..nn.layers import Conv2d, Linear
 from ..nn.model import Model
 from .calibrate import CalibrationResult
-from .linear import LinearQuantizer
-from .outlier import OutlierQuantConfig, QuantizedTensor, _quantize, quantize_weights
+from .linear import LinearQuantizer, unsigned_levels
+from .outlier import OutlierQuantConfig, QuantizedTensor, _grid, quantize_weights
 
 __all__ = ["QuantConfig", "LayerQuantStats", "QuantizedModel"]
 
@@ -87,6 +96,18 @@ class QuantizedModel:
         self.weight_q: List[QuantizedTensor] = []
         self._quantized_weights: List[np.ndarray] = []
         self._act_stats_accum: Optional[List[dict]] = None
+        # Each layer's OAQ input grid depends only on its threshold. None
+        # marks the first layer and signed inputs, which get a linear grid
+        # over each batch's own range instead.
+        cfg = self.config
+        oa_config = OutlierQuantConfig(
+            ratio=cfg.ratio, normal_bits=cfg.act_bits, outlier_bits=cfg.act_outlier_bits, signed=False
+        )
+        self._act_grids: List[Optional[LinearQuantizer]] = [
+            None if index == 0 or cal.signed else _grid(cal.threshold, oa_config)
+            for index, cal in enumerate(calibration.layers)
+        ]
+        self._act_normal_max = unsigned_levels(cfg.act_bits)
         self._prepare_weights()
 
     # -- weight quantization ------------------------------------------------
@@ -117,28 +138,25 @@ class QuantizedModel:
 
     def _quantize_input(self, index: int, x: np.ndarray) -> np.ndarray:
         cfg = self.config
-        cal = self.calibration.layers[index]
-        if index == 0 or cal.signed:
+        acc = self._act_stats_accum[index] if self._act_stats_accum is not None else None
+        grid = self._act_grids[index]
+        if grid is None:
             # Raw (or otherwise signed) input: linear grid over the full range.
-            max_abs = float(np.abs(x).max()) if x.size else 0.0
+            max_abs = float(max(x.max(), -x.min())) if x.size else 0.0
             bits = cfg.first_layer_act_bits if index == 0 else cfg.act_outlier_bits
-            quantizer = LinearQuantizer.from_range(max_abs, bits=bits, signed=True)
-            quantized = quantizer.roundtrip(x)
-            if self._act_stats_accum is not None:
-                self._act_stats_accum[index]["nonzero"] += int(np.count_nonzero(x))
-                self._act_stats_accum[index]["total"] += x.size
-            return quantized
+            if acc is not None:
+                acc["nonzero"] += int(np.count_nonzero(x))
+                acc["total"] += x.size
+            return LinearQuantizer.from_range(max_abs, bits=bits, signed=True).roundtrip(x)
 
-        oa_config = OutlierQuantConfig(
-            ratio=cfg.ratio, normal_bits=cfg.act_bits, outlier_bits=cfg.act_outlier_bits, signed=False
-        )
-        qt = _quantize(np.maximum(x, 0.0), cal.threshold, oa_config)
-        if self._act_stats_accum is not None:
-            acc = self._act_stats_accum[index]
-            acc["nonzero"] += int(np.count_nonzero(qt.levels))
-            acc["total"] += qt.levels.size
-            acc["outliers"] += qt.outlier_count
-        return qt.dequantize()
+        # One buffer: max(x, 0), divide, rint, clip, then scale in place.
+        values = grid.float_levels(x)
+        if acc is not None:
+            acc["nonzero"] += int(np.count_nonzero(values))
+            acc["total"] += values.size
+            acc["outliers"] += int(np.count_nonzero(values > self._act_normal_max))
+        values *= grid.delta
+        return values
 
     # -- execution ------------------------------------------------------------
 

@@ -103,16 +103,15 @@ class FaultyProxy:
 
     # -- the faults ----------------------------------------------------------
 
-    def _draw(self) -> str:
+    def _draw(self) -> Tuple[str, float]:
+        """One connection's fault and its delay, drawn together under the lock."""
         with self._lock:
             fault = self.rng.choices(
                 [name for name, _ in FAULT_WEIGHTS],
                 weights=[w for _, w in FAULT_WEIGHTS],
             )[0]
             self.counts[fault] += 1
-            delay = self.rng.uniform(0.02, self.max_delay_s)
-        self._last_delay = delay
-        return fault
+            return fault, self.rng.uniform(0.02, self.max_delay_s)
 
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
@@ -123,7 +122,7 @@ class FaultyProxy:
             threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn: socket.socket) -> None:
-        fault = self._draw()
+        fault, delay = self._draw()
         try:
             with conn:
                 request = self._read_request(conn)
@@ -137,7 +136,7 @@ class FaultyProxy:
                     )
                     return
                 if fault == "delay":
-                    time.sleep(self._last_delay)
+                    time.sleep(delay)
                 response = self._forward(request)
                 if response is None or fault == "eat_response":
                     return  # the server acted; the client never learns

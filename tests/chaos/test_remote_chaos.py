@@ -203,7 +203,7 @@ class TestRemoteChaos:
                 seen["n"] += 1
                 fault = "eat_response" if seen["n"] % 2 == 0 else "none"
                 proxy.counts[fault] += 1
-                return fault
+                return fault, 0.0
 
             proxy._draw = eat_alternate  # type: ignore[method-assign]
             with proxy:

@@ -177,6 +177,31 @@ class TestInferencePath:
         assert y.dtype == want.dtype and y.flags.c_contiguous == want.flags.c_contiguous
         assert np.array_equal(y, want)
 
+    # Padded batches that take several chunks, the last one ragged: each
+    # chunk reuses one staging buffer, whose borders must stay zero.
+    # What each case covers -> (x shape, c_out, kernel, stride, pad, bias).
+    STAGED_CASES = {
+        "ragged_pad1": ((23, 4, 16, 16), 5, 3, 1, 1, True),
+        "ragged_pad2": ((23, 4, 16, 16), 5, 5, 1, 2, True),
+        "ragged_pad2_stride2": ((23, 4, 17, 17), 5, 5, 2, 2, True),
+        "ragged_pad1_stride2": ((23, 8, 33, 33), 5, 3, 2, 1, True),
+        "no_bias": ((23, 4, 16, 16), 5, 3, 1, 1, False),
+    }
+
+    @pytest.mark.parametrize("case", list(STAGED_CASES))
+    def test_conv2d_staging_keeps_padding_zero_across_chunks(self, rng, case):
+        shape, c_out, kernel, stride, pad, with_bias = self.STAGED_CASES[case]
+        chunk = images_per_chunk(shape, kernel, stride, pad)
+        assert 1 < chunk < shape[0] and shape[0] % chunk
+        # No zeros in the data, so a stale value left in a border would show.
+        x = rng.normal(loc=5.0, size=shape)
+        w = rng.normal(size=(c_out, shape[1], kernel, kernel))
+        b = rng.normal(size=c_out) if with_bias else None
+        y, cache = F.conv2d(x, w, b, stride, pad)
+        want = one_shot_conv2d(x, w, b, stride, pad)
+        assert cache is None
+        assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "layer",
         [Conv2d(4, 6, 3, pad=1), Conv2d(4, 6, 3, pad=1, groups=2), MaxPool2d(2), ReLU()],
