@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ChunkIntegrityError, QuantRangeError
 
 __all__ = [

@@ -10,9 +10,7 @@ EXPERIMENTS.md for paper-vs-measured values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.area import (
     DEFAULT_AREA,
@@ -35,6 +33,9 @@ from .report import format_series, format_table
 from .scaling import NpuSpec, ScalingModel
 from .seeding import resolve_seed
 from .workloads import memory_bytes, paper_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "simulate_cell",
@@ -115,8 +116,10 @@ class Fig1Result:
 
 def fig1_weight_distributions(model_name: str = "alexnet", layer_index: int = 1, ratio: float = 0.03) -> Fig1Result:
     """Reproduce Fig. 1 on the trained mini model's conv2 weights."""
-    # The accuracy figures import quant and the trained minis themselves,
-    # so the breakdown verbs never load them.
+    # The accuracy and sampling figures import numpy, quant and the trained
+    # minis themselves, so the breakdown verbs never load them.
+    import numpy as np
+
     from ..quant import level_occupancy, quantize_linear, quantize_weights, sqnr_db, summarize
     from .pretrained import trained_mini
 
@@ -499,11 +502,17 @@ def fig15_scalability(
 # ---------------------------------------------------------------------------
 
 
+def _no_images() -> np.ndarray:
+    import numpy as np
+
+    return np.zeros(0)
+
+
 @dataclass
 class Fig16Result:
     target_ratio: float
     per_layer: Dict[str, float] = field(default_factory=dict)
-    per_image: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    per_image: np.ndarray = field(default_factory=_no_images)
 
     @property
     def mean_ratio(self) -> float:
@@ -518,6 +527,8 @@ class Fig16Result:
 
 def fig16_outlier_histogram(model_name: str = "alexnet", ratio: float = 0.03, images: int = 100) -> Fig16Result:
     """Runtime outlier ratios under statically calibrated thresholds."""
+    import numpy as np
+
     from ..quant import calibrate_activation_thresholds, count_outliers, effective_outlier_ratios
     from .pretrained import default_dataset, trained_mini
 
@@ -566,6 +577,8 @@ def fig17_multi_outlier(
     seed: Optional[int] = None,
 ) -> Fig17Result:
     """Analytic multi-outlier probability, with a Monte-Carlo check."""
+    import numpy as np
+
     rng = np.random.default_rng(resolve_seed(seed, default=0))
     result = Fig17Result(ratios=tuple(ratios))
     for lanes in lane_counts:
@@ -651,6 +664,8 @@ def fig19_chunk_cycles(
     seed: Optional[int] = None,
 ) -> Fig19Result:
     """Distribution of per-pass PE-group cycles for each conv layer."""
+    import numpy as np
+
     rng = np.random.default_rng(resolve_seed(seed, default=1))
     workload = paper_workload(network, ratio=ratio)
     result = Fig19Result(network=network)

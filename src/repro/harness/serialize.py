@@ -24,6 +24,17 @@ on read; CSV files get a ``<name>.sha256`` sidecar. A truncated or
 tampered artifact is rejected with a structured
 :class:`~repro.errors.ArtifactIntegrityError` naming the path and the
 failed check, never a raw ``JSONDecodeError``.
+
+**Canonical JSON.** Digests, simcache keys and every JSON artifact use
+one text form, ``json.dumps(doc, indent=2, sort_keys=True)``. The
+stdlib writes it with its pure-Python encoder (its C encoder has no
+``indent``), so :func:`_canonical_dumps` writes the same bytes with a
+direct recursive encoder over exact ``dict``/``list``/``str``/
+``float``/``int``/``bool``/``None`` values and leaves any other document
+to ``json.dumps``. :func:`save_json` encodes each top-level value once
+and joins those pieces twice, without the digest to compute it and with
+it for the file. Nothing here imports numpy: :func:`to_jsonable`
+converts numpy values only once something else has loaded numpy.
 """
 
 from __future__ import annotations
@@ -33,11 +44,10 @@ import hashlib
 import io
 import json
 import os
+import sys
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
-
-import numpy as np
 
 from ..arch.stats import LayerStats, RunStats, STATS_SCHEMA_VERSION
 from ..errors import ArtifactIntegrityError
@@ -71,18 +81,20 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, numpy, dicts) to JSON types."""
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if is_dataclass(obj) and not isinstance(obj, type):
         return {k: to_jsonable(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):
         return {_key(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
         return [to_jsonable(v) for v in obj]
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -128,8 +140,65 @@ def atomic_write_text(text: str, path: Union[str, Path]) -> Path:
     return path
 
 
+#: The stdlib's own string escaper (its C version where built), so strings
+#: come out exactly as ``json.dumps`` writes them.
+_escape = json.encoder.encode_basestring_ascii
+#: ``float.__repr__`` of the floats JSON has no literal for, as ``json`` spells them.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    the depth whose line break and indentation are ``indent``.
+
+    Raises ``TypeError`` for a value of any type but exact ``dict``,
+    ``list``, ``str``, ``float``, ``int``, ``bool`` and ``None``, and for a
+    key that is not a string (``_escape`` rejects it; ``sorted`` rejects
+    mixed keys): ``json.dumps`` converts or rejects those itself.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if kind is dict:
+        inner = indent + "  "
+        return _object({key: _encode(item, inner) for key, item in value.items()}, indent)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + indent + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"not canonical JSON: {kind.__name__}")
+
+
+def _object(members: Dict[str, str], indent: str) -> str:
+    """An object from its members' :func:`_encode` texts, keys sorted."""
+    if not members:
+        return "{}"
+    inner = indent + "  "
+    pairs = [_escape(key) + ": " + members[key] for key in sorted(members)]
+    return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+
+
 def _canonical_dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    A value of any other type, a non-string key, or nesting too deep to
+    recurse (a self-referencing list) sends the whole document through
+    ``json.dumps``, which converts it, or raises, as it always did.
+    """
+    try:
+        return _encode(doc, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def content_digest(doc: Any) -> str:
@@ -153,10 +222,20 @@ def save_json(obj: Any, path: Union[str, Path], digest: bool = True) -> Path:
     plain.
     """
     doc = to_jsonable(obj)
-    if digest and isinstance(doc, dict):
+    if not (digest and isinstance(doc, dict)):
+        return atomic_write_text(_canonical_dumps(doc), path)
+    # Each top-level value is encoded once; the digest covers the members
+    # without it, and the file is the same members with it.
+    try:
+        members = {key: _encode(value, "\n  ") for key, value in doc.items() if key != INTEGRITY_KEY}
+        body = _object(members, "\n")
+    except (TypeError, RecursionError):
         doc = dict(doc)
         doc[INTEGRITY_KEY] = {"algo": "sha256", "digest": content_digest(doc)}
-    return atomic_write_text(_canonical_dumps(doc), path)
+        return atomic_write_text(_canonical_dumps(doc), path)
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    members[INTEGRITY_KEY] = _encode({"algo": "sha256", "digest": checksum}, "\n  ")
+    return atomic_write_text(_object(members, "\n"), path)
 
 
 def load_json(path: Union[str, Path], verify: bool = True) -> Any:

@@ -97,7 +97,7 @@ from .resilience import (
     status_run,
     work_run,
 )
-from .serialize import load_json, save_json
+from .serialize import _canonical_dumps, load_json, save_json
 from ..obs import Registry
 
 __all__ = [
@@ -1260,7 +1260,7 @@ class JobServer:
             writer.close()
             return
         body = payload if isinstance(payload, bytes) else (
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            _canonical_dumps(payload) + "\n"
         ).encode("utf-8")
         reason = {
             200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
 from ..arch.workload import LayerWorkload, NetworkWorkload, from_spec
 from ..constants import MEMORY_TABLE
 from ..nn.zoo_paper import build_paper
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..nn.model import Model
     from ..quant.qmodel import LayerQuantStats
 

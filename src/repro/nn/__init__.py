@@ -4,6 +4,8 @@ This package replaces the PyTorch/Caffe environments the paper used (see
 DESIGN.md for the substitution table). It provides:
 
 - :mod:`repro.nn.functional` — GEMM convolution and friends;
+- :mod:`repro.nn.geometry` — the numpy-free output-size rule they share
+  with the paper specs;
 - :mod:`repro.nn.layers` / :mod:`repro.nn.model` — trainable layers and a
   sequential model container;
 - :mod:`repro.nn.train` — SGD training;

@@ -25,6 +25,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .geometry import conv_out_size
+
 __all__ = [
     "conv_out_size",
     "im2col",
@@ -43,17 +45,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_backward",
 ]
-
-
-def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    """Output spatial size of a convolution/pooling window sweep."""
-    out = (size + 2 * pad - kernel) // stride + 1
-    if out <= 0:
-        raise ValueError(
-            f"non-positive output size {out} for input {size}, kernel {kernel},"
-            f" stride {stride}, pad {pad}"
-        )
-    return out
 
 
 #: Bounded LRU of convolution coordinate tables keyed by

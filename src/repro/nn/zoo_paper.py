@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List
 
-from .functional import conv_out_size
+from .geometry import conv_out_size
 
 __all__ = [
     "LayerSpec",

@@ -18,8 +18,6 @@ from __future__ import annotations
 from heapq import heapreplace
 from typing import Sequence
 
-import numpy as np
-
 __all__ = ["schedule_passes", "load_balance_efficiency"]
 
 

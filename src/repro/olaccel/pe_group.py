@@ -20,17 +20,20 @@ pixel). Within a pass:
 
 Two interfaces are provided: exact per-chunk cycle counting (used by the
 bit-exact functional simulator and the Fig. 19 histograms) and a vectorized
-stochastic model for full-size layers (used by Figs. 11-15, 18).
+stochastic model for full-size layers (used by Figs. 11-15, 18). The array
+functions import numpy themselves, so the analytic models never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..arch.chunks import ActivationChunk, WeightChunk
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "chunk_pass_cycles",
@@ -71,6 +74,8 @@ def pass_op_counts(act_levels: np.ndarray, spill_flags: np.ndarray):
     :func:`chunk_pass_cycles`, shared by the vectorized
     :meth:`~repro.olaccel.event_sim.ClusterSim.run` accounting.
     """
+    import numpy as np
+
     act_levels = np.asarray(act_levels, dtype=np.int64)
     spill_flags = np.asarray(spill_flags, dtype=bool)
     n = act_levels.shape[0]
@@ -95,6 +100,8 @@ def batch_pass_cycles(
     scalar per-chunk API — the executable specification the fast path is
     held bit-identical to (tests/test_vectorized_equiv.py).
     """
+    import numpy as np
+
     act_levels = np.asarray(act_levels, dtype=np.int64)
     if spill_flags is None:
         spill_flags = np.zeros(act_levels.shape, dtype=bool)
@@ -191,6 +198,8 @@ def sample_pass_cycles(
     Samples nonzero lane patterns i.i.d. at ``act_density`` and weight
     chunks' spill status at ``weight_multi_outlier_fraction``.
     """
+    import numpy as np
+
     if n_passes <= 0:
         return np.zeros(0, dtype=np.int64)
     mask = rng.random((n_passes, lanes)) < act_density

@@ -81,13 +81,20 @@ class LinearQuantizer:
         turns ``rint``'s ``-0.0`` into the ``+0.0`` an integer level
         converts back to, so the result equals :meth:`quantize` converted
         to float64 byte for byte (finite inputs).
+
+        The buffer has the input's float precision, unless ``delta`` is 0
+        in it (a subnormal step and a float32 input): then it is float64,
+        so the levels equal those of the input converted to float64.
         """
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         x = np.asarray(x)
-        levels = np.empty(x.shape, dtype=np.result_type(x, self.delta))
+        dtype = np.result_type(x, self.delta)
+        if dtype.type(self.delta) == 0:
+            dtype = np.dtype(np.float64)
+        levels = np.empty(x.shape, dtype=dtype)
         if self.signed:
-            np.divide(x, self.delta, out=levels)
+            np.divide(x, self.delta, out=levels, dtype=dtype)
         else:
             np.maximum(x, 0.0, out=levels)
             np.divide(levels, self.delta, out=levels)

@@ -120,6 +120,36 @@ def test_run_fig11_loads_only_its_driver(tmp_path):
         assert module not in loaded
 
 
+#: Verbs whose models are pure Python: they write their envelope with numpy
+#: never loaded.
+ANALYTIC_VERBS = [
+    ["run", "fig11"],
+    ["run", "fig12"],
+    ["run", "fig13"],
+    ["run", "fig15"],
+    ["run", "fig18"],
+    ["run", "tab1"],
+    ["compare", "resnet101"],
+]
+
+
+@pytest.mark.parametrize("argv", ANALYTIC_VERBS, ids=" ".join)
+def test_analytic_verbs_import_no_numpy(tmp_path, argv):
+    out = tmp_path / "out.json"
+    code, loaded, err = _main(*argv, "--seed", "0", "--json", str(out))
+    assert code == 0, err
+    assert out.exists()
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["faults", "alexnet"], ["run", "fig17"]], ids=" ".join)
+def test_array_verbs_still_load_numpy(tmp_path, argv):
+    """The gate above is not vacuous: verbs that sample arrays load numpy."""
+    code, loaded, err = _main(*argv, "--seed", "0", "--json", str(tmp_path / "out.json"))
+    assert code == 0, err
+    assert "numpy" in loaded
+
+
 def test_package_exports_resolve():
     """Each ``__all__`` name resolves, ``import *`` binds all of them,
     and an unknown name still fails the normal way."""
@@ -167,7 +197,9 @@ def test_constants_have_one_home():
 
 
 #: Wraps the supervisor's worker entry so that each forked cell writes
-#: the ``repro.*`` modules it imported to ``<out>/<kind>-<pid>.json``.
+#: the ``repro.*`` modules it imported, and whether numpy was loaded, to
+#: ``<out>/<kind>-<pid>.json``; the runner writes whether it loaded numpy
+#: to ``<out>/main.json``.
 RECORD_CELLS = textwrap.dedent(
     """
     import json, os, sys
@@ -183,26 +215,29 @@ RECORD_CELLS = textwrap.dedent(
         finally:
             new = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
             with open(os.path.join(out, f"{kind}-{os.getpid()}.json"), "w") as f:
-                json.dump(new, f)
+                json.dump({"new": new, "numpy": "numpy" in sys.modules}, f)
 
     resilience._cell_worker = recording
     from repro.cli import main
 
-    sys.exit(main(argv))
+    code = main(argv)
+    with open(os.path.join(out, "main.json"), "w") as f:
+        json.dump({"numpy": "numpy" in sys.modules}, f)
+    sys.exit(code)
     """
 )
 
 
 @pytest.mark.skipif(pool_context().get_start_method() != "fork", reason="cells inherit only when forked")
 @pytest.mark.parametrize(
-    "argv, cells",
+    "argv, cells, numpy",
     [
-        (["run", "fig11"], 6),
-        (["faults", "alexnet", "--rates", "0", "1e-3", "--widths", "16", "24"], 4),
+        (["run", "fig11"], 6, False),
+        (["faults", "alexnet", "--rates", "0", "1e-3", "--widths", "16", "24"], 4, True),
     ],
     ids=["breakdown", "faults"],
 )
-def test_forked_cells_import_nothing_new(tmp_path, argv, cells):
+def test_forked_cells_import_nothing_new(tmp_path, argv, cells, numpy):
     out = tmp_path / "imports"
     out.mkdir()
     run_dir = tmp_path / "run"
@@ -211,5 +246,6 @@ def test_forked_cells_import_nothing_new(tmp_path, argv, cells):
     )
     assert proc.returncode == 0, proc.stderr
     reports = {path.name: json.loads(path.read_text()) for path in out.iterdir()}
+    assert reports.pop("main.json") == {"numpy": numpy}
     assert len(reports) == cells
-    assert all(new == [] for new in reports.values()), reports
+    assert all(report == {"new": [], "numpy": numpy} for report in reports.values()), reports

@@ -7,6 +7,8 @@ clip, int64, clip again, float64, scale) byte for byte: ``.tobytes()``
 compares the sign of zero too, which ``np.array_equal`` would not.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,16 +83,26 @@ def tricky(rng, shape, scale, dtype=np.float64):
     return x.astype(dtype)
 
 
-#: Why a step that is 0 in float32 has no old result to match.
-FLOAT32_ZERO_STEP = (
-    "a subnormal float64 step is 0 in float32: both formulas divide by zero, "
-    "and the old one then cast NaN to int64, which numpy leaves undefined"
-)
-
-
 def same_bytes(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def float32_and_float64(fn, x):
+    """``(result, warnings)`` of ``fn`` on a float32 ``x``, then on ``x``
+    converted to float64.
+
+    For a subnormal step, which is 0 in float32, the float64 input is the
+    reference: the old formula divided by zero there and cast NaN to
+    int64, which numpy leaves undefined.
+    """
+    runs = []
+    for arg in (x, x.astype(np.float64)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(arg)
+        runs.append((result, [str(w.message) for w in caught]))
+    return runs
 
 
 QUANTIZERS = {
@@ -110,9 +122,14 @@ class TestLinearQuantizer:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_roundtrip_matches_old_formula(self, rng, name, dtype):
         q = QUANTIZERS[name]
-        if dtype == np.float32 and np.float32(q.delta) == 0:
-            pytest.skip(FLOAT32_ZERO_STEP)
         x = tricky(rng, (5, 6, 7), scale=q.max_value / 2, dtype=dtype)
+        if dtype == np.float32 and np.float32(q.delta) == 0:
+            x.reshape(-1)[4::9] = np.float32(1e-40)  # nonzero in float32, far above the step
+            for method in (q.roundtrip, q.quantize, q.float_levels):
+                (got, got_warnings), (want, want_warnings) = float32_and_float64(method, x)
+                assert same_bytes(got, want), method.__name__
+                assert got_warnings == want_warnings == [], method.__name__
+            return
         assert same_bytes(q.roundtrip(x), old_roundtrip(x, q))
         assert same_bytes(q.quantize(x), old_quantize(x, q))
         assert same_bytes(q.float_levels(x), old_quantize(x, q).astype(np.float64))
@@ -199,7 +216,10 @@ class TestQuantizeInput:
         for index in range(len(qm.calibration.layers)):
             grid = qm._act_grids[index]
             if x.dtype == np.float32 and grid is not None and np.float32(grid.delta) == 0:
-                continue  # see FLOAT32_ZERO_STEP
+                runs = float32_and_float64(lambda arg: qm._quantize_input(index, arg), x)
+                (got, got_warnings), (want, want_warnings) = runs
+                assert same_bytes(got, want) and got_warnings == want_warnings, index
+                continue
             got = qm._quantize_input(index, x)
             assert same_bytes(got, old_quantize_input(qm, index, x)), index
 

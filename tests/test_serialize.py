@@ -1,12 +1,31 @@
 """Tests for result serialization (repro.harness.serialize)."""
 
+import hashlib
+import json
+import tempfile
+from enum import IntEnum
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import EnergyBreakdown
 from repro.arch.stats import LayerStats, RunStats
-from repro.harness import breakdown_experiment, fig17_multi_outlier
-from repro.harness.serialize import load_json, run_stats_rows, save_csv, save_json, to_jsonable
+from repro.harness import breakdown_experiment, experiment_envelope, fig17_multi_outlier
+from repro.harness.serialize import (
+    INTEGRITY_KEY,
+    _canonical_dumps,
+    _encode,
+    load_json,
+    run_stats_rows,
+    save_csv,
+    save_json,
+    to_jsonable,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make_run():
@@ -66,3 +85,118 @@ class TestFiles:
     def test_nested_directory_created(self, tmp_path):
         path = save_json({"a": 1}, tmp_path / "deep" / "dir" / "out.json")
         assert path.exists()
+
+
+def stdlib_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def old_save_text(obj, digest=True):
+    """What ``save_json`` wrote when it encoded the document twice."""
+    doc = to_jsonable(obj)
+    if digest and isinstance(doc, dict):
+        body = {k: v for k, v in doc.items() if k != INTEGRITY_KEY}
+        doc = dict(doc)
+        doc[INTEGRITY_KEY] = {"algo": "sha256", "digest": hashlib.sha256(stdlib_dumps(body).encode()).hexdigest()}
+    return stdlib_dumps(doc)
+
+
+def outcome(dumps, doc):
+    try:
+        return dumps(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: Any code point, lone surrogates and control characters included.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+EDGE_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e16, 0.1]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | EDGE_FLOATS
+    | TEXT
+    | st.sampled_from(["", "\x00\x1f\x7f", "\u2028\ud800\udfff", "caf\u00e9 \U0001f600", '"\\/'])
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class Color(IntEnum):
+    RED = 1
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_encoder_equals_stdlib(self, doc):
+        want = stdlib_dumps(doc)
+        assert _encode(doc, "\n") == want  # the direct path, no fallback
+        assert _canonical_dumps(doc) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["A", "_", "__a", INTEGRITY_KEY, "__z", "a"]) | TEXT, TREES, max_size=6))
+    def test_save_json_writes_the_two_encode_bytes(self, doc):
+        """Keys that sort on either side of the digest's key included."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_json(doc, Path(tmp) / "doc.json")
+            assert path.read_text() == old_save_text(doc)
+            load_json(path)  # and its digest verifies
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": np.float64(0.1), "b": [np.float64(-0.0)]},
+            {"a": np.int64(3)},
+            {1: "int", 2: "keys"},
+            {2.5: "float", -1.0: "keys"},
+            {True: "bool", False: "keys"},
+            {None: "none key"},
+            {"str": 1, 2: "mixed keys"},
+            {"tuple": (1, (2.5, "x"))},
+            {"enum": Color.RED, Color.RED: "enum key"},
+            [[], {}, ()],
+        ],
+        ids=["np-float64", "np-int64", "int-keys", "float-keys", "bool-keys", "none-key", "mixed-keys",
+             "tuple", "int-enum", "empty-tuple"],
+    )
+    def test_other_types_fall_back_to_stdlib(self, doc):
+        with pytest.raises(TypeError):
+            _encode(doc, "\n")
+        assert outcome(_canonical_dumps, doc) == outcome(stdlib_dumps, doc)
+
+    def test_self_reference_raises_value_error(self):
+        doc = []
+        doc.append(doc)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _canonical_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "obj, digest",
+        [
+            (experiment_envelope("fig11", breakdown_experiment("alexnet")), True),
+            ({"A": 1, "_": 2, "__a": 3, INTEGRITY_KEY: "stale", "a": 4}, True),
+            ({}, True),
+            ({"np": np.float64(0.5), "arr": np.arange(3)}, True),
+            ({"x": 1}, False),
+            ([1, {"b": 2, "a": 1}], True),
+        ],
+        ids=["envelope", "integrity-sorts-between", "empty", "numpy", "no-digest", "list"],
+    )
+    def test_save_json_bytes_unchanged(self, tmp_path, obj, digest):
+        path = save_json(obj, tmp_path / "doc.json", digest=digest)
+        assert path.read_text() == old_save_text(obj, digest)
+
+    def test_committed_baseline_still_verifies(self, tmp_path):
+        committed = REPO / "benchmarks" / "BENCH_BASELINE_SMOKE.json"
+        doc = load_json(committed)
+        assert INTEGRITY_KEY not in doc
+        assert save_json(doc, tmp_path / "again.json").read_bytes() == committed.read_bytes()
