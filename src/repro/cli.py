@@ -24,9 +24,10 @@ Usage::
 ``faults`` accept ``--json``. The JSON layout is the versioned
 experiment envelope documented in docs/EXPERIMENTS.md. Unknown
 experiment ids and networks exit with status 2 and print the available
-choices. ``run``/``compare``/``profile``/``faults``/``bench`` take a
-global ``--seed`` that overrides every driver's built-in default
-(docs/FAULTS.md explains the precedence). ``bench`` times the
+choices. ``run``/``compare``/``profile``/``faults``/``bench``/``explore``
+take ``--seed``, which the handler passes to its driver as ``seed=``;
+without it each driver uses its own default (docs/FAULTS.md lists them).
+No seed outlives the call. ``bench`` times the
 vectorized hot paths against their ``slow_reference`` twins, writing a
 versioned ``BENCH_<date>.json`` (docs/PERFORMANCE.md).
 
@@ -103,7 +104,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from .constants import (
     DEFAULT_HEARTBEAT_S,
@@ -116,7 +117,6 @@ from .constants import (
     STRATEGY_NAMES,
 )
 from .errors import ArtifactIntegrityError, ConfigError
-from .harness.seeding import global_seed, set_global_seed
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -124,20 +124,23 @@ __all__ = ["main", "EXPERIMENTS"]
 SWEEPABLE = {"fig11": "alexnet", "fig12": "vgg16", "fig13": "resnet18"}
 
 
-def _runner(name: str, *args: Any) -> Callable[[], Any]:
+def _runner(name: str, *args: Any, seeded: bool = False) -> Callable[..., Any]:
     """A runner calling ``harness.experiments.<name>(*args)``; the module
-    is imported when the runner is called, not when the table is built."""
+    is imported when the runner is called, not when the table is built.
+    A ``seeded`` runner passes the ``--seed`` it is called with on as
+    ``seed=``; the others ignore it."""
 
-    def run() -> Any:
+    def run(seed: Optional[int]) -> Any:
         from .harness import experiments
 
-        return getattr(experiments, name)(*args)
+        kwargs = {"seed": seed} if seeded else {}
+        return getattr(experiments, name)(*args, **kwargs)
 
     return run
 
 
-#: Experiment id -> (runner, description). Runners return objects with
-#: ``format()``.
+#: Experiment id -> (runner, description). Runners take the ``--seed``
+#: value and return objects with ``format()``.
 EXPERIMENTS: Dict[str, tuple] = {
     "fig1": (_runner("fig1_weight_distributions"), "weight distributions: fp vs linear vs OAQ"),
     "fig2": (_runner("fig2_accuracy_vs_ratio"), "accuracy vs outlier ratio (mini-AlexNet)"),
@@ -149,9 +152,11 @@ EXPERIMENTS: Dict[str, tuple] = {
     "fig14": (_runner("fig14_ratio_sweep"), "energy/cycles/accuracy vs outlier ratio"),
     "fig15": (_runner("fig15_scalability"), "multi-NPU scalability"),
     "fig16": (_runner("fig16_outlier_histogram"), "effective outlier-activation ratios"),
-    "fig17": (_runner("fig17_multi_outlier"), "multi-outlier probability vs group width"),
+    "fig17": (
+        _runner("fig17_multi_outlier", seeded=True), "multi-outlier probability vs group width"
+    ),
     "fig18": (_runner("fig18_utilization"), "utilization breakdown per conv layer"),
-    "fig19": (_runner("fig19_chunk_cycles"), "per-chunk cycle distributions"),
+    "fig19": (_runner("fig19_chunk_cycles", seeded=True), "per-chunk cycle distributions"),
 }
 
 
@@ -241,7 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         name = names[0]
         _, description = EXPERIMENTS[name]
         plan = breakdown_plan(
-            SWEEPABLE[name], seed=global_seed(), experiment=name, description=description
+            SWEEPABLE[name], seed=args.seed, experiment=name, description=description
         )
         result, envelope, code = _run_sweep(plan, args)
         if result is None:
@@ -259,7 +264,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     csv_rows: List[dict] = []
     for name in names:
         runner, description = EXPERIMENTS[name]
-        result = runner()
+        result = runner(args.seed)
         print(f"== {name} ==")
         print(result.format())
         print()
@@ -289,7 +294,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if getattr(args, "run_dir", None):
         from .harness.resilience import breakdown_plan
 
-        plan = breakdown_plan(args.network, ratio=args.ratio, seed=global_seed())
+        plan = breakdown_plan(args.network, ratio=args.ratio, seed=args.seed)
         result, envelope, code = _run_sweep(plan, args)
         if result is None:
             return code
@@ -315,7 +320,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .harness.profile import profile_network
     from .harness.serialize import experiment_envelope, save_json
 
-    result = profile_network(args.network, ratio=args.ratio, event_sim_passes=args.passes)
+    result = profile_network(
+        args.network, ratio=args.ratio, event_sim_passes=args.passes, seed=args.seed
+    )
     print(result.format())
     if args.json:
         print(f"wrote {save_json(experiment_envelope('profile', result.to_dict()), args.json)}")
@@ -338,7 +345,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             policy=args.policy,
             model=args.model,
             ratio=args.ratio,
-            seed=global_seed(),
+            seed=args.seed,
         )
         result, envelope, code = _run_sweep(plan, args)
         if result is None:
@@ -354,6 +361,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         policy=args.policy,
         model=args.model,
         ratio=args.ratio,
+        seed=args.seed,
     )
     print(result.format())
     if args.json:
@@ -431,7 +439,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_candidates=args.max_candidates,
         accuracy=args.accuracy,
         accuracy_samples=args.accuracy_samples,
-        seed=global_seed(),
+        seed=args.seed,
         space=DesignSpace.from_dict(space_doc) if space_doc else DesignSpace(),
     )
     try:
@@ -704,7 +712,12 @@ def _add_output_flags(parser: argparse.ArgumentParser, csv: bool = True) -> None
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
-        help="override every stochastic driver's default RNG seed",
+        help="RNG seed passed to this verb's driver, for this call only: it seeds the "
+        "fig17/fig19 Monte-Carlo draws, profile's event-sim micro-trace, the faults "
+        "sweep's synthetic layer and fault plans, explore's random subsample and "
+        "accuracy proxy, and bench's inputs; unset, each driver uses its own default. "
+        "compare and run fig11-13 draw nothing random and only record it in the "
+        "--run-dir manifest",
     )
 
 
@@ -1161,7 +1174,6 @@ def main(argv: List[str] = None) -> int:
     if lease_error:
         print(f"error: {lease_error}", file=sys.stderr)
         return 2
-    set_global_seed(getattr(args, "seed", None))
     replaced_env = _apply_cache_flags(args)
     try:
         return args.func(args)

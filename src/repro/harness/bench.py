@@ -9,9 +9,9 @@ and reports the speedup. The result serializes through the standard
 so the performance trajectory is recorded next to the accuracy numbers
 (docs/PERFORMANCE.md explains how to read it).
 
-All inputs are seeded (``--seed`` / the global seed precedence of
-:mod:`repro.harness.seeding`), so two runs on the same machine time the
-same work. ``smoke=True`` shrinks every case for CI.
+All inputs are seeded (``--seed``, else :data:`BENCH_SEED_DEFAULT`), so
+two runs on the same machine time the same work. ``smoke=True`` shrinks
+every case for CI.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from ..obs import Registry
 from .report import format_table
-from .seeding import resolve_seed
 
 __all__ = ["BenchCase", "BenchResult", "run_benchmarks", "default_bench_path", "BENCH_SEED_DEFAULT"]
 
@@ -149,7 +148,7 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     from .experiments import _simulator
     from .workloads import paper_workload
 
-    seed = resolve_seed(seed, default=BENCH_SEED_DEFAULT)
+    seed = BENCH_SEED_DEFAULT if seed is None else seed
     rng = np.random.default_rng(seed)
     result = BenchResult(smoke=smoke, seed=seed)
     obs = result.obs

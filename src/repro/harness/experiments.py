@@ -31,7 +31,6 @@ from ..olaccel import (
 )
 from .report import format_series, format_table
 from .scaling import NpuSpec, ScalingModel
-from .seeding import resolve_seed
 from .workloads import memory_bytes, paper_workload
 
 if TYPE_CHECKING:
@@ -579,7 +578,7 @@ def fig17_multi_outlier(
     """Analytic multi-outlier probability, with a Monte-Carlo check."""
     import numpy as np
 
-    rng = np.random.default_rng(resolve_seed(seed, default=0))
+    rng = np.random.default_rng(0 if seed is None else seed)
     result = Fig17Result(ratios=tuple(ratios))
     for lanes in lane_counts:
         result.series[lanes] = [multi_outlier_probability(r, lanes) for r in ratios]
@@ -666,7 +665,7 @@ def fig19_chunk_cycles(
     """Distribution of per-pass PE-group cycles for each conv layer."""
     import numpy as np
 
-    rng = np.random.default_rng(resolve_seed(seed, default=1))
+    rng = np.random.default_rng(1 if seed is None else seed)
     workload = paper_workload(network, ratio=ratio)
     result = Fig19Result(network=network)
     for layer in workload.layers:

@@ -70,7 +70,6 @@ from .resilience import (
     SweepPlan,
     execute_sweep,
 )
-from .seeding import global_seed, resolve_seed, set_global_seed
 from .serialize import content_digest, load_json, save_json, to_jsonable
 from .simcache import SimCache, get_active
 from .workloads import MEMORY_TABLE, memory_bytes, paper_workload
@@ -843,150 +842,143 @@ def explore_run(
         )
     if request.eta < 2:
         raise ConfigError("eta must be >= 2 (the survivor fraction is 1/eta)")
-    seed = resolve_seed(request.seed, default=0)
+    seed = 0 if request.seed is None else request.seed
     request = replace(request, seed=seed)
-    # Cells resolve their seed from the process-wide default while the
-    # search runs; the caller's default comes back afterwards.
-    previous = global_seed()
-    set_global_seed(seed)
-    try:
-        budget = request.resolved_budget()
+    budget = request.resolved_budget()
 
-        rng = np.random.default_rng(seed)
-        cands = strategy.candidates(request.space, request, rng)
-        obs.counter("explore/candidates").add(len(cands))
-        capped = 0
-        if request.max_candidates is not None and len(cands) > request.max_candidates:
-            capped = len(cands) - request.max_candidates
-            cands = cands[: request.max_candidates]
-        feasible = [c for c in cands if c.area_mm2() <= budget]
-        pruned = (len(cands) - len(feasible)) + capped
-        obs.counter("explore/pruned").add(pruned)
+    rng = np.random.default_rng(seed)
+    cands = strategy.candidates(request.space, request, rng)
+    obs.counter("explore/candidates").add(len(cands))
+    capped = 0
+    if request.max_candidates is not None and len(cands) > request.max_candidates:
+        capped = len(cands) - request.max_candidates
+        cands = cands[: request.max_candidates]
+    feasible = [c for c in cands if c.area_mm2() <= budget]
+    pruned = (len(cands) - len(feasible)) + capped
+    obs.counter("explore/pruned").add(pruned)
 
-        root: Optional[Path] = None
-        if run_dir is not None:
-            root = Path(run_dir)
-            _init_marker(root, request, verify)
+    root: Optional[Path] = None
+    if run_dir is not None:
+        root = Path(run_dir)
+        _init_marker(root, request, verify)
 
-        rungs = strategy.rungs(request)
-        population: List[Candidate] = list(feasible)
-        final_rows: Dict[str, Dict[str, Any]] = {}
-        failures: List[Dict[str, Any]] = []
-        evaluated = cache_hits = 0
+    rungs = strategy.rungs(request)
+    population: List[Candidate] = list(feasible)
+    final_rows: Dict[str, Dict[str, Any]] = {}
+    failures: List[Dict[str, Any]] = []
+    evaluated = cache_hits = 0
 
-        for rung, fidelity in enumerate(rungs):
-            if not population:
-                break
-            plan = _explore_plan(request, population, fidelity, rung, seed, budget)
-            if root is not None:
-                _, _, _, records = execute_sweep(
-                    plan, root / RUNGS_DIR / str(rung), jobs=jobs, retry=retry,
-                    obs=obs, verify=verify, lease_ttl=lease_ttl, heartbeat_s=heartbeat_s,
-                )
-            else:
-                records = _execute_inline(plan, obs)
-
-            rung_rows: Dict[str, Dict[str, Any]] = {}
-            screen = rung == 0
-            for spec in plan.cells:
-                record = records.get(spec.cell_id)
-                ok = record is not None and record.get("status") == "ok"
-                hit = bool(ok and record["result"].get("cached"))
-                if screen:
-                    cache_hits += 1 if hit else 0
-                    evaluated += 0 if hit else 1
-                else:
-                    obs.counter("explore/refine_cache_hits" if hit else "explore/refine_evaluated").add()
-                if ok:
-                    rung_rows[spec.cell_id] = {
-                        k: v for k, v in record["result"].items() if k != "cached"
-                    }
-                else:
-                    obs.counter("explore/failed").add()
-                    failures.append(
-                        (record or {}).get("error")
-                        or CellError(
-                            "cell record missing", cell_id=spec.cell_id, kind="crash"
-                        ).to_dict()
-                    )
-
-            if rung < len(rungs) - 1:
-                # Successive halving: keep the best ceil(n/eta) by the
-                # energy-cycles product on the screen metrics (cand_id
-                # breaks ties deterministically).
-                keep = max(1, math.ceil(len(population) / request.eta))
-                scored = sorted(
-                    (cid for cid in rung_rows),
-                    key=lambda cid: (
-                        rung_rows[cid]["energy_total"] * rung_rows[cid]["cycles"],
-                        cid,
-                    ),
-                )
-                kept = set(scored[:keep])
-                obs.counter("explore/refined").add(len(kept))
-                population = [c for c in population if c.cand_id in kept]
-            else:
-                final_rows = rung_rows
-
-        obs.counter("explore/evaluated").add(evaluated)
-        obs.counter("explore/cache_hits").add(cache_hits)
-
-        # Accuracy is shared across candidates with identical precision
-        # coordinates — one memoized cell per distinct point.
-        accuracy_points: Dict[Tuple[int, int, float], Dict[str, Any]] = {}
-        survivors = [c for c in population if c.cand_id in final_rows]
-        if request.accuracy != "none":
-            for cand in survivors:
-                key = (cand.act_bits, cand.weight_bits, cand.ratio)
-                if key not in accuracy_points:
-                    accuracy_points[key] = accuracy_cell(
-                        request.network,
-                        cand.act_bits,
-                        cand.weight_bits,
-                        cand.ratio,
-                        mode=request.accuracy,
-                        samples=request.accuracy_samples,
-                        seed=seed,
-                    )
-            obs.counter("explore/accuracy_cells").add(len(accuracy_points))
-
-        archive = ParetoArchive()
-        dominated = 0
-        rows: List[Dict[str, Any]] = []
-        for cand in survivors:
-            row = {"cand_id": cand.cand_id, **cand.to_dict()}
-            row["area_mm2"] = cand.area_mm2()
-            row.update(final_rows[cand.cand_id])
-            acc = accuracy_points.get((cand.act_bits, cand.weight_bits, cand.ratio))
-            row["accuracy"] = None if acc is None else acc.get("accuracy")
-            row["accuracy_metric"] = "none" if acc is None else acc.get("metric")
-            if not archive.offer(row):
-                dominated += 1
-            rows.append(row)
-        obs.counter("explore/dominated").add(dominated)
-        frontier = archive.frontier()
-        obs.counter("explore/frontier").add(len(frontier))
-
-        result = ExploreResult(
-            network=request.network,
-            strategy=request.strategy,
-            budget_mm2=budget,
-            accuracy_mode=request.accuracy,
-            seed=seed,
-            space=request.space.to_dict(),
-            candidates=len(cands) + capped,
-            pruned=pruned,
-            rungs=len(rungs),
-            evaluated=rows,
-            frontier=frontier,
-            failures=failures,
-        )
-        envelope = explore_envelope(result)
+    for rung, fidelity in enumerate(rungs):
+        if not population:
+            break
+        plan = _explore_plan(request, population, fidelity, rung, seed, budget)
         if root is not None:
-            save_json(envelope, root / "envelope.json")
-        return result, envelope
-    finally:
-        set_global_seed(previous)
+            _, _, _, records = execute_sweep(
+                plan, root / RUNGS_DIR / str(rung), jobs=jobs, retry=retry,
+                obs=obs, verify=verify, lease_ttl=lease_ttl, heartbeat_s=heartbeat_s,
+            )
+        else:
+            records = _execute_inline(plan, obs)
+
+        rung_rows: Dict[str, Dict[str, Any]] = {}
+        screen = rung == 0
+        for spec in plan.cells:
+            record = records.get(spec.cell_id)
+            ok = record is not None and record.get("status") == "ok"
+            hit = bool(ok and record["result"].get("cached"))
+            if screen:
+                cache_hits += 1 if hit else 0
+                evaluated += 0 if hit else 1
+            else:
+                obs.counter("explore/refine_cache_hits" if hit else "explore/refine_evaluated").add()
+            if ok:
+                rung_rows[spec.cell_id] = {
+                    k: v for k, v in record["result"].items() if k != "cached"
+                }
+            else:
+                obs.counter("explore/failed").add()
+                failures.append(
+                    (record or {}).get("error")
+                    or CellError(
+                        "cell record missing", cell_id=spec.cell_id, kind="crash"
+                    ).to_dict()
+                )
+
+        if rung < len(rungs) - 1:
+            # Successive halving: keep the best ceil(n/eta) by the
+            # energy-cycles product on the screen metrics (cand_id
+            # breaks ties deterministically).
+            keep = max(1, math.ceil(len(population) / request.eta))
+            scored = sorted(
+                (cid for cid in rung_rows),
+                key=lambda cid: (
+                    rung_rows[cid]["energy_total"] * rung_rows[cid]["cycles"],
+                    cid,
+                ),
+            )
+            kept = set(scored[:keep])
+            obs.counter("explore/refined").add(len(kept))
+            population = [c for c in population if c.cand_id in kept]
+        else:
+            final_rows = rung_rows
+
+    obs.counter("explore/evaluated").add(evaluated)
+    obs.counter("explore/cache_hits").add(cache_hits)
+
+    # Accuracy is shared across candidates with identical precision
+    # coordinates — one memoized cell per distinct point.
+    accuracy_points: Dict[Tuple[int, int, float], Dict[str, Any]] = {}
+    survivors = [c for c in population if c.cand_id in final_rows]
+    if request.accuracy != "none":
+        for cand in survivors:
+            key = (cand.act_bits, cand.weight_bits, cand.ratio)
+            if key not in accuracy_points:
+                accuracy_points[key] = accuracy_cell(
+                    request.network,
+                    cand.act_bits,
+                    cand.weight_bits,
+                    cand.ratio,
+                    mode=request.accuracy,
+                    samples=request.accuracy_samples,
+                    seed=seed,
+                )
+        obs.counter("explore/accuracy_cells").add(len(accuracy_points))
+
+    archive = ParetoArchive()
+    dominated = 0
+    rows: List[Dict[str, Any]] = []
+    for cand in survivors:
+        row = {"cand_id": cand.cand_id, **cand.to_dict()}
+        row["area_mm2"] = cand.area_mm2()
+        row.update(final_rows[cand.cand_id])
+        acc = accuracy_points.get((cand.act_bits, cand.weight_bits, cand.ratio))
+        row["accuracy"] = None if acc is None else acc.get("accuracy")
+        row["accuracy_metric"] = "none" if acc is None else acc.get("metric")
+        if not archive.offer(row):
+            dominated += 1
+        rows.append(row)
+    obs.counter("explore/dominated").add(dominated)
+    frontier = archive.frontier()
+    obs.counter("explore/frontier").add(len(frontier))
+
+    result = ExploreResult(
+        network=request.network,
+        strategy=request.strategy,
+        budget_mm2=budget,
+        accuracy_mode=request.accuracy,
+        seed=seed,
+        space=request.space.to_dict(),
+        candidates=len(cands) + capped,
+        pruned=pruned,
+        rungs=len(rungs),
+        evaluated=rows,
+        frontier=frontier,
+        failures=failures,
+    )
+    envelope = explore_envelope(result)
+    if root is not None:
+        save_json(envelope, root / "envelope.json")
+    return result, envelope
 
 
 def explore_resume(

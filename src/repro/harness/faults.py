@@ -41,7 +41,6 @@ from ..constants import DEFAULT_RATES, DEFAULT_WIDTHS, FAULT_MODELS, RECOVERY_PO
 from ..faults import AccumulatorModel, FaultPlan, faulty_olaccel_conv2d, required_accumulator_bits
 from ..obs import Registry
 from .report import format_failures, format_table
-from .seeding import resolve_seed
 from .workloads import paper_workload
 
 __all__ = [
@@ -274,7 +273,7 @@ def fault_sweep(
         raise ValueError(f"unknown recovery policy {policy!r}; one of {RECOVERY_POLICIES}")
     if model not in FAULT_MODELS:
         raise ValueError(f"unknown fault model {model!r}; one of {FAULT_MODELS}")
-    seed = resolve_seed(seed, default=0)
+    seed = 0 if seed is None else seed
     _, _, stats, required = fault_case(network, ratio, seed)
 
     rate_rows = [

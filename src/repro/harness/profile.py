@@ -26,7 +26,6 @@ from ..arch.stats import STATS_SCHEMA_VERSION, RunStats
 from ..obs import Registry
 from ..olaccel import ClusterSim, passes_from_levels
 from .report import format_table
-from .seeding import resolve_seed
 from .workloads import paper_workload
 
 __all__ = ["ProfileRow", "ProfileResult", "profile_network", "CLOCK_MHZ"]
@@ -138,14 +137,14 @@ def profile_network(
 ) -> ProfileResult:
     """Profile every accelerator on ``network``; see module docstring.
 
-    ``seed`` drives the synthesized event-sim micro-trace; it defaults
-    to the global ``--seed`` (when set) and then to the historical 0.
+    ``seed`` drives the synthesized event-sim micro-trace (``repro
+    profile --seed``); ``None`` means the historical 0.
     """
     # Imported here (not at module top) to avoid a circular import with
     # experiments.py, which re-exports both modules via the package init.
     from .experiments import ALL_ACCELERATORS, _simulator
 
-    seed = resolve_seed(seed, default=0)
+    seed = 0 if seed is None else seed
 
     workload = paper_workload(network, ratio=ratio)
     result = ProfileResult(network=network, ratio=ratio)

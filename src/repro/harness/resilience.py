@@ -2,7 +2,7 @@
 
 Every sweep-shaped verb decomposes into **cells** — independent
 (accelerator, network, ratio) or (rate)/(width) points, each a pure
-function of its JSON-able parameters plus the global seed. This module
+function of its JSON-able parameters, the seed among them. This module
 executes a sweep's cells through a checkpointed, supervised pipeline so
 a crash, hang, or Ctrl-C loses at most the cell in flight:
 
@@ -67,7 +67,6 @@ from .coord import (
     maybe_kill,
     safe_cell_filename,
 )
-from .seeding import set_global_seed
 from .serialize import (
     INTEGRITY_KEY,
     _canonical_dumps,
@@ -202,7 +201,6 @@ def register_cell_runner(
 
 
 def _run_breakdown_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    set_global_seed(params.get("seed"))
     from .experiments import simulate_cell
 
     kind, network, ratio = params["accelerator"], params["network"], params["ratio"]
@@ -210,7 +208,6 @@ def _run_breakdown_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_fault_rate_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    set_global_seed(params.get("seed"))
     from .faults import fault_rate_cell
 
     return fault_rate_cell(
@@ -224,7 +221,6 @@ def _run_fault_rate_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_fault_width_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    set_global_seed(params.get("seed"))
     from .faults import fault_width_cell
 
     return fault_width_cell(
@@ -233,7 +229,6 @@ def _run_fault_width_cell(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_explore_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    set_global_seed(params.get("seed"))
     from .explore import explore_cell
 
     return explore_cell(
@@ -307,9 +302,7 @@ def faults_plan(
     seed: Optional[int] = None,
 ) -> SweepPlan:
     """One cell per rate point and per width point of ``repro faults``."""
-    from .seeding import resolve_seed
-
-    seed = resolve_seed(seed, default=0)
+    seed = 0 if seed is None else seed
     params = {
         "network": network,
         "rates": [float(r) for r in rates],
@@ -945,7 +938,6 @@ def work_run(
     rd = RunDir(run_dir)
     manifest = rd.load_manifest(verify=verify)
     plan = rd.plan_from_manifest(manifest)
-    set_global_seed(plan.seed)
     return execute_sweep(
         plan,
         run_dir,

@@ -18,6 +18,14 @@ connection *is* a request):
   at-least-once / idempotency path);
 - ``reset`` — RST the client connection outright (SO_LINGER 0).
 
+Each draw is a function of (seed, the request body's ``"worker"``
+field, that worker's request number), so a worker sees the same fault
+sequence however the workers' connections interleave; requests without
+a worker field share one stream of their own. No worker gets more than
+``MAX_BREAKING_RUN`` claim-breaking faults in a row, fewer than the
+``max_failures=8`` failed claim rounds in a row after which a
+``RemoteWorker`` gives up, so progress is always possible.
+
 Runnable standalone for the CI smoke::
 
     python tests/chaos/netproxy.py HOST:PORT --seed 7 [--port 0]
@@ -28,6 +36,7 @@ prints ``proxy listening on PORT`` and serves until killed.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import re
 import socket
@@ -49,6 +58,13 @@ FAULT_WEIGHTS = (
     ("reset", 0.05),
 )
 
+#: Faults that make a claim round fail on the worker's side.
+CLAIM_BREAKING = frozenset({"drop_request", "truncate_response", "eat_response", "reset"})
+
+#: Longest run of CLAIM_BREAKING faults one worker sees; the draw after
+#: such a run is ``none``.
+MAX_BREAKING_RUN = 4
+
 _CONTENT_LENGTH = re.compile(rb"content-length:\s*(\d+)", re.IGNORECASE)
 
 
@@ -66,10 +82,13 @@ class FaultyProxy:
         io_timeout_s: float = 30.0,
     ):
         self.upstream = (upstream_host, upstream_port)
-        self.rng = random.Random(seed)
+        self.seed = seed
         self.max_delay_s = max_delay_s
         self.io_timeout_s = io_timeout_s
         self.counts: Dict[str, int] = {name: 0 for name, _ in FAULT_WEIGHTS}
+        # per worker: its fault stream and its current claim-breaking run
+        self._streams: Dict[Optional[str], random.Random] = {}
+        self._breaking_run: Dict[Optional[str], int] = {}
         self._lock = threading.Lock()
         self._closing = threading.Event()
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -103,15 +122,25 @@ class FaultyProxy:
 
     # -- the faults ----------------------------------------------------------
 
-    def _draw(self) -> Tuple[str, float]:
-        """One connection's fault and its delay, drawn together under the lock."""
+    def _draw(self, worker: Optional[str]) -> Tuple[str, float]:
+        """The fault and delay of ``worker``'s next request: the next two
+        draws of that worker's own stream, with its claim-breaking runs
+        capped at ``MAX_BREAKING_RUN``."""
         with self._lock:
-            fault = self.rng.choices(
+            rng = self._streams.get(worker)
+            if rng is None:
+                rng = self._streams[worker] = random.Random(f"{self.seed}/{worker}")
+            fault = rng.choices(
                 [name for name, _ in FAULT_WEIGHTS],
                 weights=[w for _, w in FAULT_WEIGHTS],
             )[0]
+            delay = rng.uniform(0.02, self.max_delay_s)
+            run = self._breaking_run.get(worker, 0)
+            if fault in CLAIM_BREAKING and run >= MAX_BREAKING_RUN:
+                fault = "none"
+            self._breaking_run[worker] = run + 1 if fault in CLAIM_BREAKING else 0
             self.counts[fault] += 1
-            return fault, self.rng.uniform(0.02, self.max_delay_s)
+            return fault, delay
 
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
@@ -122,12 +151,12 @@ class FaultyProxy:
             threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn: socket.socket) -> None:
-        fault, delay = self._draw()
         try:
             with conn:
                 request = self._read_request(conn)
                 if request is None:
                     return
+                fault, delay = self._draw(_worker_of(request))
                 if fault == "drop_request":
                     return  # the server never hears about it
                 if fault == "reset":
@@ -183,6 +212,16 @@ class FaultyProxy:
                     response += chunk
         except OSError:
             return None
+
+
+def _worker_of(request: bytes) -> Optional[str]:
+    """The ``"worker"`` field of a request's JSON body, if it has one."""
+    try:
+        doc = json.loads(request.partition(b"\r\n\r\n")[2])
+    except ValueError:
+        return None
+    worker = doc.get("worker") if isinstance(doc, dict) else None
+    return worker if isinstance(worker, str) else None
 
 
 def _parse_hostport(text: str) -> Tuple[str, int]:

@@ -37,7 +37,7 @@ from repro.harness.resilience import (
 )
 from repro.harness.serve import JOB_SCHEMA, ServeConfig, TERMINAL_STATES
 from tests.chaos.harness import KILL_HOOKS, REPO, drain, worker_env
-from tests.chaos.netproxy import FaultyProxy
+from tests.chaos.netproxy import CLAIM_BREAKING, MAX_BREAKING_RUN, FaultyProxy
 from tests.test_serve_protocol import _LiveServer
 
 SIGKILLED = -signal.SIGKILL
@@ -129,6 +129,31 @@ def _assert_remote_books_reconcile(stats: dict):
     ), remote
 
 
+def test_proxy_faults_ignore_interleaving_and_cap_breaking_runs():
+    """Each worker's faults depend on its own requests alone, and no
+    worker sees more than MAX_BREAKING_RUN claim-breaking faults in a row."""
+    workers = ["w0", "w1", None]
+    # never started: _draw needs no accept loop
+    serial, mixed = FaultyProxy("127.0.0.1", 9, seed=3), FaultyProxy("127.0.0.1", 9, seed=3)
+    try:
+        alone = {w: [serial._draw(w) for _ in range(3000)] for w in workers}
+        interleaved: Dict[object, list] = {w: [] for w in workers}
+        for w in random.Random(0).choices(workers, k=6000):
+            interleaved[w].append(mixed._draw(w))
+    finally:
+        serial.close()
+        mixed.close()
+    for w in workers:
+        n = len(interleaved[w])
+        assert interleaved[w] == alone[w][:n], w
+        run = longest = 0
+        for fault, _ in alone[w]:
+            run = run + 1 if fault in CLAIM_BREAKING else 0
+            longest = max(longest, run)
+        assert longest == MAX_BREAKING_RUN, w
+    assert alone["w0"] != alone["w1"]
+
+
 class TestRemoteChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_faulty_network_drain_converges_to_serial_bytes(self, tmp_path, seed):
@@ -199,7 +224,7 @@ class TestRemoteChaos:
             # every even-numbered connection
             seen = {"n": 0}
 
-            def eat_alternate():
+            def eat_alternate(worker):
                 seen["n"] += 1
                 fault = "eat_response" if seen["n"] % 2 == 0 else "none"
                 proxy.counts[fault] += 1

@@ -425,16 +425,28 @@ def test_cli_rejects_unknown_network_for_faults(capsys):
     assert "unknown network" in capsys.readouterr().err
 
 
-def test_seeding_precedence():
-    from repro.harness import resolve_seed, set_global_seed
+def _seeded_drivers():
+    from repro.harness.experiments import fig17_multi_outlier, fig19_chunk_cycles
+    from repro.harness.faults import fault_sweep
+    from repro.harness.resilience import faults_plan
 
-    try:
-        assert resolve_seed(None, default=4) == 4
-        set_global_seed(17)
-        assert resolve_seed(None, default=4) == 17
-        assert resolve_seed(2, default=4) == 2
-    finally:
-        set_global_seed(None)
+    small = {"rates": (0.0, 1e-3), "widths": (24,)}
+    return {
+        "fig17": (fig17_multi_outlier, {"monte_carlo_trials": 2000}, 0),
+        "fig19": (fig19_chunk_cycles, {"samples": 2000}, 1),
+        "fault_sweep": (fault_sweep, {"network": "alexnet", **small}, 0),
+        "faults_plan": (faults_plan, {"network": "alexnet", **small}, 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["fig17", "fig19", "fault_sweep", "faults_plan"])
+def test_each_driver_applies_its_own_default_seed(name):
+    from repro.harness.serialize import to_jsonable
+
+    driver, kwargs, default = _seeded_drivers()[name]
+    unseeded = to_jsonable(driver(**kwargs))
+    assert to_jsonable(driver(**kwargs, seed=default)) == unseeded
+    assert to_jsonable(driver(**kwargs, seed=7)) != unseeded
 
 
 def test_baseline_simulators_accept_accumulator_model():

@@ -37,7 +37,6 @@ from repro.harness.resilience import (
     _run_breakdown_cell,
 )
 from repro.harness.report import FAILED, format_failures
-from repro.harness.seeding import set_global_seed
 from repro.harness.serialize import (
     INTEGRITY_KEY,
     atomic_write_text,
@@ -277,7 +276,6 @@ class TestSupervisedPool:
         )
         assert records["flaky"]["attempts"] == 2
         assert obs.snapshot()["resilience/retries"] == 1
-        set_global_seed(None)
         reference = _run_breakdown_cell(
             {k: v for k, v in params.items() if k != "marker"}
         )
@@ -358,12 +356,10 @@ class TestKillResume:
         envelope = load_json(run_dir / "envelope.json")
 
         ref_dir = tmp_path / "ref"
-        set_global_seed(7)
         plan = breakdown_plan(
             "alexnet", seed=7, experiment="fig11", description=EXPERIMENTS["fig11"][1]
         )
         _, reference, _, _ = execute_sweep(plan, ref_dir)
-        set_global_seed(None)
         assert canonical_envelope_bytes(envelope) == canonical_envelope_bytes(reference)
 
     def test_faults_kill_resume_byte_identical(self, tmp_path):
@@ -382,10 +378,8 @@ class TestKillResume:
         envelope = load_json(run_dir / "envelope.json")
 
         ref_dir = tmp_path / "ref"
-        set_global_seed(3)
         plan = faults_plan("alexnet", rates=(0.0, 0.001), widths=(24,), seed=3)
         _, reference, _, _ = execute_sweep(plan, ref_dir)
-        set_global_seed(None)
         assert canonical_envelope_bytes(envelope) == canonical_envelope_bytes(reference)
 
     def test_volatile_fields_really_differ(self, tmp_path):
@@ -401,7 +395,6 @@ class TestKillResume:
 
 class TestGracefulDegradation:
     def test_breakdown_report_renders_failed_rows(self, tmp_path):
-        set_global_seed(None)
         plan = breakdown_plan("alexnet", seed=0)
         run_dir = tmp_path / "run"
         result, _, _, records = execute_sweep(plan, run_dir)

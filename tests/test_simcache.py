@@ -311,10 +311,6 @@ def _sweep_and_search():
 def test_without_a_root_nothing_is_keyed_or_stored(tmp_path, monkeypatch):
     # no --cache-dir: every cell computes directly, with no key and no
     # file, and the rows equal a disk-rooted run's
-    from repro.harness import seeding
-
-    # explore_run installs its seed process-wide; restore it afterwards
-    monkeypatch.setattr(seeding, "_GLOBAL_SEED", seeding.global_seed())
     keyed = []
     real = simcache_mod.cache_key
     monkeypatch.setattr(
