@@ -74,12 +74,14 @@ def _simulator(kind: str, network: str, ratio: float = 0.03, obs=None):
 def simulate_cell(kind: str, network: str, ratio: float = 0.03):
     """Simulate one (accelerator, network) breakdown cell.
 
-    Runs the plain :meth:`simulate_network` of the ``kind`` accelerator
-    on the network's paper workload, with no simcache in between: a
-    ResNet-18 cell's cycle/energy model costs 0.08–0.24 ms, less than
-    keying, copying or verifying a cached entry (docs/PERFORMANCE.md,
-    "What it buys, honestly"). Fault cells and explore cells keep the
-    cache.
+    The one-cell entry point of the ``breakdown`` cell runner: builds
+    the network's paper workload and runs the plain
+    :meth:`simulate_network` of the ``kind`` accelerator on it, with no
+    simcache in between. Building the workload costs about as much as
+    the cycle/energy model, and together they cost less than keying,
+    copying or verifying a cached entry (docs/PERFORMANCE.md, "What it
+    buys, honestly"). Fault cells and explore cells keep the cache; the
+    in-process drivers build a workload once and share it.
     """
     return _simulator(kind, network, ratio).simulate_network(paper_workload(network, ratio=ratio))
 
@@ -384,10 +386,13 @@ class BreakdownResult:
 
 
 def breakdown_experiment(network: str, ratio: float = 0.03) -> BreakdownResult:
-    """Figs. 11 (alexnet), 12 (vgg16), 13 (resnet18)."""
+    """Figs. 11 (alexnet), 12 (vgg16), 13 (resnet18).
+
+    The six accelerators share one paper workload (it is frozen)."""
+    workload = paper_workload(network, ratio=ratio)
     result = BreakdownResult(network=network)
     for kind in ALL_ACCELERATORS:
-        result.runs[kind] = simulate_cell(kind, network, ratio=ratio)
+        result.runs[kind] = _simulator(kind, network, ratio).simulate_network(workload)
     return result
 
 
@@ -481,8 +486,9 @@ def fig15_scalability(
     batches: Sequence[int] = (1, 4, 16),
 ) -> Fig15Result:
     """Speedup vs NPU count for OLAccel and ZeNA at several batch sizes."""
-    ol_run = simulate_cell("olaccel16", network)
-    zena_run = simulate_cell("zena16", network)
+    workload = paper_workload(network)
+    ol_run = _simulator("olaccel16", network).simulate_network(workload)
+    zena_run = _simulator("zena16", network).simulate_network(workload)
 
     zena_cycles = zena_run.total_cycles
     result = Fig15Result(network=network, npu_counts=tuple(npu_counts))

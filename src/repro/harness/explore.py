@@ -384,23 +384,23 @@ class ParetoArchive:
 # ---------------------------------------------------------------------------
 
 
-#: Per-process memo of workload content digests keyed (network, ratio).
-#: ``paper_workload`` is a pure function of its arguments, so one digest
-#: of its full layer-spec JSON identifies the workload in every cell key
-#: without re-canonicalizing the 20-odd layer dicts per lookup (the
-#: digest computation dominated the warm hit path otherwise).
-_WORKLOAD_DIGESTS: Dict[tuple, str] = {}
+#: Per-process memo of paper workloads and their content digests, keyed
+#: (network, ratio). ``paper_workload`` is a pure function of its
+#: arguments and its result is frozen, so a search builds each distinct
+#: workload once and every candidate at that ratio simulates the same
+#: one; the digest of its full layer-spec JSON identifies it in every
+#: cell key without re-canonicalizing the 20-odd layer dicts per lookup.
+_WORKLOADS: Dict[tuple, Tuple[NetworkWorkload, str]] = {}
 
 
-def _workload_digest(network: str, ratio: float) -> str:
-    """Workload digest for (network, ratio); repeats build no workload."""
+def _workload(network: str, ratio: float) -> Tuple[NetworkWorkload, str]:
+    """(workload, digest) for (network, ratio); repeats build nothing."""
     key = (network, float(ratio))
-    digest = _WORKLOAD_DIGESTS.get(key)
-    if digest is None:
+    entry = _WORKLOADS.get(key)
+    if entry is None:
         workload = paper_workload(network, ratio=ratio)
-        digest = content_digest({"layers": to_jsonable(workload)})
-        _WORKLOAD_DIGESTS[key] = digest
-    return digest
+        entry = _WORKLOADS[key] = (workload, content_digest({"layers": to_jsonable(workload)}))
+    return entry
 
 
 def explore_cell(
@@ -424,6 +424,7 @@ def explore_cell(
     if network not in MEMORY_TABLE:
         raise ConfigError(f"unknown network {network!r}")
     cfg = cand.accel_config()
+    workload, digest = _workload(network, cand.ratio)
     components = {
         "cell": "explore",
         "accelerator": cfg.name,
@@ -431,7 +432,7 @@ def explore_cell(
         "network": network,
         "ratio": float(cand.ratio),
         "fidelity_layers": fidelity_layers,
-        "workload_digest": _workload_digest(network, cand.ratio),
+        "workload_digest": digest,
         "fault_plan": None,
         "stats_schema": STATS_SCHEMA_VERSION,
     }
@@ -440,10 +441,10 @@ def explore_cell(
     def compute() -> Dict[str, float]:
         nonlocal cached
         cached = False
-        workload = paper_workload(network, ratio=cand.ratio)
+        simulated = workload
         if fidelity_layers is not None:
-            workload = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
-        run = OLAccelSimulator(cfg).simulate_network(workload)
+            simulated = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
+        run = OLAccelSimulator(cfg).simulate_network(simulated)
         doc = {"cycles": float(run.total_cycles)}
         energy = run.energy_by_component()
         for component, pj in energy.items():

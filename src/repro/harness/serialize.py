@@ -45,7 +45,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
@@ -78,11 +78,15 @@ INTEGRITY_KEY = "__integrity__"
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert results (dataclasses, numpy, dicts) to JSON types."""
+    """Recursively convert results (dataclasses, numpy, dicts) to JSON types.
+
+    A dataclass converts field by field in the same walk, to what
+    converting its ``dataclasses.asdict`` copy would give.
+    """
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {_key(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):

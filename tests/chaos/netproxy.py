@@ -108,6 +108,12 @@ class FaultyProxy:
     def close(self) -> None:
         self._closing.set()
         try:
+            # On Linux, close() alone does not wake a thread blocked in
+            # accept(); shutdown() does.
+            self.listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self.listener.close()
         except OSError:
             pass

@@ -154,6 +154,22 @@ def test_proxy_faults_ignore_interleaving_and_cap_breaking_runs():
     assert alone["w0"] != alone["w1"]
 
 
+def test_close_stops_the_accept_thread():
+    """close() wakes the thread blocked in accept(), so it has exited
+    by the time close() returns."""
+    proxy = FaultyProxy("127.0.0.1", 9).start()
+    thread = proxy._accept_thread
+    seen = 0
+    for _ in range(1000):  # until two polls in a row find it in socket.accept()
+        frame = sys._current_frames().get(thread.ident)
+        seen = seen + 1 if frame is not None and frame.f_code.co_name == "accept" else 0
+        if seen == 2:
+            break
+        time.sleep(0.01)
+    proxy.close()
+    assert not proxy._accept_thread.is_alive()
+
+
 class TestRemoteChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_faulty_network_drain_converges_to_serial_bytes(self, tmp_path, seed):

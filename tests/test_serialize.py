@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -13,11 +14,17 @@ from hypothesis import strategies as st
 
 from repro.arch import EnergyBreakdown
 from repro.arch.stats import LayerStats, RunStats
-from repro.harness import breakdown_experiment, experiment_envelope, fig17_multi_outlier
+from repro.harness import (
+    breakdown_experiment,
+    experiment_envelope,
+    fig15_scalability,
+    fig17_multi_outlier,
+)
 from repro.harness.serialize import (
     INTEGRITY_KEY,
     _canonical_dumps,
     _encode,
+    _key,
     load_json,
     run_stats_rows,
     save_csv,
@@ -57,6 +64,90 @@ class TestToJsonable:
         to_jsonable(fig17_multi_outlier(ratios=(0.01,), lane_counts=(16,)))
         result = breakdown_experiment("alexnet")
         to_jsonable({"cycles": result.normalized_cycles(), "energy": result.normalized_energy()})
+
+
+def asdict_to_jsonable(obj):
+    """The converter as it was: a dataclass goes through ``asdict`` (a
+    deep copy), and the copy is walked a second time."""
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {k: asdict_to_jsonable(v) for k, v in asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {_key(k): asdict_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [asdict_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@dataclass
+class Leaf:
+    value: object
+    tags: tuple = ()
+
+
+@dataclass
+class Tree:
+    name: str
+    leaf: Leaf
+    leaves: list
+    by_key: dict
+    pair: tuple
+    size: int = field(init=False)
+
+    def __post_init__(self):
+        self.size = len(self.leaves)
+
+
+def nested_tree():
+    return Tree(
+        name="t",
+        leaf=Leaf(np.arange(6).reshape(2, 3), tags=("a", 1)),
+        leaves=[Leaf(1.0), Leaf(np.float32(2.5)), [Leaf(np.int64(3))]],
+        by_key={
+            ("olaccel16", 4): Leaf(np.float64(-0.0)),
+            "plain": {"inner": Leaf([np.int8(-1), (2, 3.5)])},
+            7: np.array([0.25, 1e300]),
+        },
+        pair=(Leaf(None, tags=(Leaf(True),)), (np.uint16(9), "x")),
+    )
+
+
+class TestToJsonableOneWalk:
+    """``to_jsonable`` reads dataclass fields in place and gives exactly
+    what the ``asdict``-based converter gave."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            nested_tree,
+            lambda: [nested_tree(), {"tree": nested_tree()}],
+            make_run,
+            lambda: breakdown_experiment("alexnet"),
+            lambda: fig15_scalability("alexnet"),
+            lambda: fig17_multi_outlier(ratios=(0.01,), lane_counts=(16,)),
+        ],
+    )
+    def test_equals_the_asdict_reference(self, make):
+        obj = make()
+        assert _canonical_dumps(to_jsonable(obj)) == _canonical_dumps(asdict_to_jsonable(obj))
+
+    def test_init_false_field_is_kept(self):
+        assert to_jsonable(nested_tree())["size"] == 3
+
+    def test_source_is_not_modified(self):
+        tree = nested_tree()
+        before = _canonical_dumps(asdict_to_jsonable(tree))
+        out = to_jsonable(tree)
+        out["leaf"]["value"][0][0] = 99
+        out["leaves"].clear()
+        assert _canonical_dumps(asdict_to_jsonable(tree)) == before
 
 
 class TestFiles:
