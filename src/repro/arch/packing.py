@@ -14,9 +14,9 @@ integer levels, which hypothesis round-trip tests verify.
 
 Two equivalent representations coexist. The *table* form
 (:class:`WeightTables`) holds the whole packed tensor as flat numpy
-arrays and is what the vectorized fast paths operate on; the *chunk* form
-is the per-chunk :class:`WeightChunk` object list the scalar reference
-paths and the fault validators walk. :class:`PackedWeights` converts
+arrays and is what the vectorized fast paths and the fault validator
+operate on; the *chunk* form is the per-chunk :class:`WeightChunk` object
+list the scalar reference paths walk. :class:`PackedWeights` converts
 lazily between the two, so ``pack_weights`` never builds chunk objects
 unless something asks for them. ``slow_reference=True`` selects the
 original per-element scalar implementation everywhere a vectorized path

@@ -721,37 +721,31 @@ def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer, rejected at parse time."""
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, accept, expected: str):
+    """An argparse type: ``convert`` the text, then require ``accept(value)``.
+
+    Either failure is rejected at parse time (exit 2) with
+    ``expected <expected>, got '<text>'``.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type: an integer >= 0, rejected at parse time."""
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive float, rejected at parse time."""
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+# Comparisons with nan are false, so each of these also rejects "nan".
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
+_fault_rate = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fault rate in [0, 1]")
+_accumulator_width = _checked(int, lambda v: v >= 2, "an accumulator width >= 2 bits")
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -912,11 +906,11 @@ def build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser("faults", help="fault-rate + accumulator-width sweep")
     faults.add_argument("network", help=f"one of: {', '.join(MEMORY_TABLE)}")
     faults.add_argument(
-        "--rates", type=float, nargs="+", default=list(DEFAULT_RATES), metavar="R",
+        "--rates", type=_fault_rate, nargs="+", default=list(DEFAULT_RATES), metavar="R",
         help=f"fault rates to sweep (default {' '.join(str(r) for r in DEFAULT_RATES)})",
     )
     faults.add_argument(
-        "--widths", type=int, nargs="+", default=list(DEFAULT_WIDTHS), metavar="W",
+        "--widths", type=_accumulator_width, nargs="+", default=list(DEFAULT_WIDTHS), metavar="W",
         help=f"accumulator widths to sweep (default {' '.join(str(w) for w in DEFAULT_WIDTHS)})",
     )
     faults.add_argument(

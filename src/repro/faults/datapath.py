@@ -7,9 +7,10 @@ at the boundaries the hardware actually crosses:
 
 1. **weights** — pack → :func:`encode_packed` to literal 80-bit words →
    strike (surface ``weight_chunks``) → :func:`transfer_words` across
-   the DRAM/SRAM channel (surface ``memory``) → decode with
-   ``strict=False`` → :func:`validate_packed` under the recovery policy
-   → unpack to (possibly degraded) integer levels;
+   the DRAM/SRAM channel (surface ``memory``) → :func:`decode_packed`
+   with ``strict=False`` → :func:`validate_packed` under the recovery
+   policy → unpack to (possibly degraded) integer levels. The table
+   stays in its flat-array form throughout; no chunk object is built;
 2. **activations** — per-sample :func:`pack_activations` → strike the
    dense 4-bit stream (surface ``activations``) and the 16-bit swarm
    values (surface ``outliers``) → :func:`validate_swarm` → unpack;
@@ -31,12 +32,12 @@ encoding and is *detected* — exactly the asymmetry real hardware has.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..arch.act_packing import pack_activations, unpack_activations
-from ..arch.bitcodec import decode_table, encode_packed
+from ..arch.bitcodec import decode_packed, encode_packed
 from ..arch.chunks import WEIGHT_CHUNK_BITS
 from ..arch.memory import transfer_words
 from ..arch.packing import PackedWeights, pack_weights
@@ -115,13 +116,13 @@ def corrupt_packed_weights(
     spill_words, _ = plan.corrupt_words(spill_words, WEIGHT_CHUNK_BITS, surface="weight_chunks", obs=obs)
     base_words = transfer_words(base_words, WEIGHT_CHUNK_BITS, plan=plan, obs=obs)
     spill_words = transfer_words(spill_words, WEIGHT_CHUNK_BITS, plan=plan, obs=obs)
-    base_chunks, spill_chunks = decode_table(base_words, spill_words, strict=False)
-    rebuilt = PackedWeights(
-        base_chunks=base_chunks,
-        spill_chunks=spill_chunks,
+    rebuilt = decode_packed(
+        base_words,
+        spill_words,
         n_groups=packed.n_groups,
         reduction=packed.reduction,
         out_channels=packed.out_channels,
+        strict=False,
     )
     return validate_packed(rebuilt, policy=policy, obs=obs)
 

@@ -39,18 +39,20 @@ rate 0 validation is a provable no-op.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Sequence, Tuple
 
-from ..arch.chunks import LANES, OutlierActivation, WeightChunk
-from ..arch.packing import PackedWeights, normal_max_level
+import numpy as np
+
+from ..arch.chunks import LANES, OutlierActivation
+from ..arch.packing import PackedWeights, WeightTables, normal_max_level
 from ..constants import RECOVERY_POLICIES
 from ..errors import ChunkIntegrityError, ConfigError
 from ..obs import NULL_REGISTRY, Registry
 
 __all__ = ["RECOVERY_POLICIES", "validate_packed", "validate_swarm"]
 
-_ZERO_LANES = tuple([0] * LANES)
+#: Base-chunk fields in audit order; a ``raise`` names the first violated.
+_BASE_FIELDS = ("lanes", "ol_idx", "ol_msb", "ol_ptr")
 
 
 def _check_policy(policy: str) -> None:
@@ -58,33 +60,32 @@ def _check_policy(policy: str) -> None:
         raise ConfigError(f"unknown recovery policy {policy!r}; one of {RECOVERY_POLICIES}")
 
 
-def _chunk_violations(chunk: WeightChunk, n_spills: int, seen_ptrs: set) -> List[str]:
-    """Every violated invariant of a base chunk (empty when healthy)."""
-    fields: List[str] = []
-    if any(abs(v) > normal_max_level for v in chunk.lanes):
-        fields.append("lanes")
-    if not 0 <= chunk.ol_idx < LANES:
-        fields.append("ol_idx")
-    if abs(chunk.ol_msb) > 15:
-        fields.append("ol_msb")
-    if chunk.ol_ptr is not None and (
-        not 0 <= chunk.ol_ptr < n_spills or chunk.ol_ptr in seen_ptrs
-    ):
-        fields.append("ol_ptr")
-    return fields
+def _base_violations(t: WeightTables, policy: str) -> Tuple[np.ndarray, ...]:
+    """One (n_base,) bool mask per base-chunk field in :data:`_BASE_FIELDS`.
 
-
-def _degrade_chunk(chunk: WeightChunk, fields: List[str]) -> WeightChunk:
-    """Repair a corrupt chunk so the 4-bit normal path can proceed.
-
-    Corrupt outlier metadata is dropped — the lane keeps its LSB nibble,
-    i.e. the outlier is treated as its 4-bit normal value — and
-    out-of-range lanes are clamped onto the normal grid.
+    ``ol_ptr`` flags dangling pointers and duplicates. The chunks are
+    audited in index order and a chunk that keeps its pointer after
+    repair claims the spill chunk, so the owner of each spill chunk is
+    the first row with an in-range pointer and no ``ol_idx``/``ol_msb``
+    violation (nor a ``lanes`` one, except under ``degrade``, which keeps
+    the metadata of a chunk whose lanes alone were clamped). Every later
+    row pointing at the same spill chunk is a duplicate.
     """
-    lanes = tuple(max(-normal_max_level, min(normal_max_level, v)) for v in chunk.lanes)
-    if fields == ["lanes"]:
-        return replace(chunk, lanes=lanes)
-    return WeightChunk(lanes=lanes, is_spill=chunk.is_spill)
+    lanes = (np.abs(t.lanes) > normal_max_level).any(axis=1)
+    ol_idx = (t.ol_idx < 0) | (t.ol_idx >= LANES)
+    ol_msb = np.abs(t.ol_msb) > 15
+    has_ptr = t.ol_ptr >= 0
+    in_range = has_ptr & (t.ol_ptr < t.n_spill)
+
+    keeps = in_range & ~ol_idx & ~ol_msb
+    if policy != "degrade":
+        keeps &= ~lanes
+    owner = np.full(t.n_spill, t.n_base, dtype=np.int64)
+    np.minimum.at(owner, t.ol_ptr[keeps], np.flatnonzero(keeps))
+    ol_ptr = has_ptr & ~in_range
+    rows = np.flatnonzero(in_range)
+    ol_ptr[rows] = rows > owner[t.ol_ptr[rows]]
+    return lanes, ol_idx, ol_msb, ol_ptr
 
 
 def validate_packed(
@@ -98,61 +99,61 @@ def validate_packed(
     :class:`ChunkIntegrityError` naming the chunk coordinates; under
     ``degrade``/``skip`` every violation is repaired/discarded and
     counted, and a new :class:`PackedWeights` is returned (the input is
-    never mutated).
+    never mutated). A clean table is returned as is. The audit runs on
+    the table form as whole-array checks; no chunk object is built.
     """
     _check_policy(policy)
-    n_spills = len(packed.spill_chunks)
-    seen_ptrs: set = set()
-    base: List[WeightChunk] = []
-    dirty = False
+    t = packed.tables
+    fields = _base_violations(t, policy)
+    bad = np.logical_or.reduce(fields)
+    spill_bad = (np.abs(t.spill_lanes) > 15).any(axis=1)
 
-    for index, chunk in enumerate(packed.base_chunks):
-        group, red = divmod(index, packed.reduction) if packed.reduction else (0, index)
-        fields = _chunk_violations(chunk, n_spills, seen_ptrs)
-        if fields:
+    if policy == "raise":
+        if bad.any():
+            index = int(bad.argmax())
+            field = next(name for name, mask in zip(_BASE_FIELDS, fields) if mask[index])
+            group, red = divmod(index, packed.reduction) if packed.reduction else (0, index)
             obs.counter("faults/detected").add(1)
-            if policy == "raise":
-                raise ChunkIntegrityError(
-                    f"weight chunk violates the {fields[0]!r} invariant",
-                    group=group,
-                    reduction=red,
-                    chunk_index=index,
-                    field=fields[0],
-                )
-            obs.counter("faults/masked").add(1)
-            if policy == "skip":
-                obs.counter("faults/skipped").add(1)
-                chunk = WeightChunk(lanes=_ZERO_LANES)
-            else:
-                chunk = _degrade_chunk(chunk, fields)
-            dirty = True
-        if chunk.ol_ptr is not None:
-            seen_ptrs.add(chunk.ol_ptr)
-        base.append(chunk)
-
-    spill: List[WeightChunk] = []
-    for index, chunk in enumerate(packed.spill_chunks):
-        if any(abs(v) > 15 for v in chunk.lanes):
+            raise ChunkIntegrityError(
+                f"weight chunk violates the {field!r} invariant",
+                group=group,
+                reduction=red,
+                chunk_index=index,
+                field=field,
+            )
+        if spill_bad.any():
             obs.counter("faults/detected").add(1)
-            if policy == "raise":
-                raise ChunkIntegrityError(
-                    "spill chunk MSB magnitude beyond the 4-bit field",
-                    chunk_index=index,
-                    field="lanes",
-                    is_spill=True,
-                )
-            obs.counter("faults/masked").add(1)
-            if policy == "skip":
-                obs.counter("faults/skipped").add(1)
-            chunk = WeightChunk(lanes=_ZERO_LANES, is_spill=True)
-            dirty = True
-        spill.append(chunk)
-
-    if not dirty:
+            raise ChunkIntegrityError(
+                "spill chunk MSB magnitude beyond the 4-bit field",
+                chunk_index=int(spill_bad.argmax()),
+                field="lanes",
+                is_spill=True,
+            )
         return packed
+
+    detected = int(bad.sum()) + int(spill_bad.sum())
+    if not detected:
+        return packed
+    obs.counter("faults/detected").add(detected)
+    obs.counter("faults/masked").add(detected)
+    if policy == "skip":
+        obs.counter("faults/skipped").add(detected)
+        lanes = np.where(bad[:, None], 0, t.lanes)
+        drop = bad
+    else:
+        # Corrupt outlier metadata is dropped, so the lane keeps its LSB
+        # nibble as its 4-bit normal value; out-of-range lanes are clamped.
+        lanes = np.clip(t.lanes, -normal_max_level, normal_max_level)
+        drop = np.logical_or.reduce(fields[1:])
+    tables = WeightTables(
+        lanes=lanes,
+        ol_idx=np.where(drop, 0, t.ol_idx),
+        ol_msb=np.where(drop, 0, t.ol_msb),
+        ol_ptr=np.where(drop, -1, t.ol_ptr),
+        spill_lanes=np.where(spill_bad[:, None], 0, t.spill_lanes),
+    )
     return PackedWeights(
-        base_chunks=base,
-        spill_chunks=spill,
+        tables=tables,
         n_groups=packed.n_groups,
         reduction=packed.reduction,
         out_channels=packed.out_channels,

@@ -52,6 +52,41 @@ class TestBadFlagValues:
         assert args.jobs == 4
 
 
+class TestFaultSweepValues:
+    """faults --rates/--widths are validated at parse time (argparse exits
+    2) on the plain path and under --run-dir, before any run dir exists."""
+
+    BAD = [
+        ("--rates", "2", "fault rate in [0, 1]"),
+        ("--rates", "-0.1", "fault rate in [0, 1]"),
+        ("--rates", "nan", "fault rate in [0, 1]"),
+        ("--rates", "inf", "fault rate in [0, 1]"),
+        ("--rates", "x", "fault rate in [0, 1]"),
+        ("--widths", "1", "accumulator width >= 2"),
+        ("--widths", "-8", "accumulator width >= 2"),
+        ("--widths", "16.5", "accumulator width >= 2"),
+    ]
+
+    @pytest.mark.parametrize("with_run_dir", [False, True], ids=["plain", "run-dir"])
+    @pytest.mark.parametrize("flag,bad,message", BAD)
+    def test_out_of_range_rejected(self, flag, bad, message, with_run_dir, capsys, tmp_path):
+        good = "0.01" if flag == "--rates" else "16"
+        argv = ["faults", "alexnet", flag, good, bad]
+        run_dir = tmp_path / "r"
+        if with_run_dir:
+            argv += ["--run-dir", str(run_dir)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_range_edges_parse(self):
+        args = build_parser().parse_args(["faults", "alexnet", "--rates", "0", "1", "--widths", "2", "64"])
+        assert args.rates == [0.0, 1.0]
+        assert args.widths == [2, 64]
+
+
 class TestRunDirUsage:
     def test_run_dir_requires_sweepable_experiment(self, capsys, tmp_path):
         assert main(["run", "fig1", "--run-dir", str(tmp_path / "r")]) == 2
@@ -148,6 +183,13 @@ class TestServeArgs:
     def test_non_positive_seconds_rejected(self, flag, capsys, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--spool", str(tmp_path), flag, "-2"])
+        assert exit_info.value.code == 2
+        assert "positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--timeout", "--cell-timeout", "--heartbeat"])
+    def test_nan_seconds_rejected(self, flag, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--spool", str(tmp_path), flag, "nan"])
         assert exit_info.value.code == 2
         assert "positive number" in capsys.readouterr().err
 

@@ -9,6 +9,12 @@ checks three independent implementations against each other:
 3. the chunk tables serialized through the literal 80-bit words
    (`encode_table`/`decode_table`) and re-used by the datapath.
 
+It also strikes those words with a seeded fault plan and requires the
+lenient vectorized decoder (`decode_packed(strict=False)`, the one the
+fault datapath runs) to match its scalar twin chunk for chunk, and the
+fault datapath's weight round trip (`corrupt_packed_weights`) under a
+rate-0 plan to give back the original levels.
+
 `check_case` is importable — `tests/test_fuzz_smoke.py` runs a small
 fixed-seed sample of the same property on every test run; this tool
 remains the high-volume standalone entry point (also run in CI):
@@ -23,8 +29,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.arch import decode_table, encode_table, pack_weights
+from repro.arch import decode_packed, decode_table, encode_table, pack_weights
+from repro.arch.chunks import WEIGHT_CHUNK_BITS
+from repro.faults import FAULT_MODELS, FaultPlan
+from repro.faults.datapath import corrupt_packed_weights
 from repro.olaccel import olaccel_conv2d, reference_conv2d_int
+
+#: Strike probability per word for the struck-word decode check.
+STRIKE_RATE = 0.2
 
 
 def random_case(rng: np.random.Generator):
@@ -50,8 +62,24 @@ def random_case(rng: np.random.Generator):
     return acts, weights, stride, pad
 
 
-def check_case(acts, weights, stride: int, pad: int) -> Optional[str]:
-    """Run one case through all three implementations; None when they agree."""
+def check_struck_decode(packed, base_words, spill_words, fault_seed: int) -> Optional[str]:
+    """Strike the words, then compare both lenient decoders; None when they agree."""
+    plan = FaultPlan(rate=STRIKE_RATE, seed=fault_seed, model=FAULT_MODELS[fault_seed % len(FAULT_MODELS)])
+    base_words, _ = plan.corrupt_words(base_words, WEIGHT_CHUNK_BITS, surface="weight_chunks")
+    spill_words, _ = plan.corrupt_words(spill_words, WEIGHT_CHUNK_BITS, surface="weight_chunks")
+    shape = dict(n_groups=packed.n_groups, reduction=packed.reduction, out_channels=packed.out_channels)
+    fast = decode_packed(base_words, spill_words, strict=False, **shape)
+    slow = decode_packed(base_words, spill_words, strict=False, slow_reference=True, **shape)
+    if fast.base_chunks != slow.base_chunks or fast.spill_chunks != slow.spill_chunks:
+        return f"struck-word decode mismatch: fault_seed={fault_seed}"
+    return None
+
+
+def check_case(acts, weights, stride: int, pad: int, fault_seed: int = 0) -> Optional[str]:
+    """Run one case through all implementations; None when they agree.
+
+    ``fault_seed`` seeds the plan that strikes the encoded weight words.
+    """
     reference = reference_conv2d_int(acts, weights, stride, pad)
 
     result = olaccel_conv2d(acts, weights, stride, pad, act_normal_max=15)
@@ -62,6 +90,12 @@ def check_case(acts, weights, stride: int, pad: int) -> Optional[str]:
     if len(packed.spill_chunks) <= 254:
         base_words, spill_words = encode_table(packed.base_chunks, packed.spill_chunks)
         packed.base_chunks, packed.spill_chunks = decode_table(base_words, spill_words)
+        error = check_struck_decode(packed, base_words, spill_words, fault_seed)
+        if error:
+            return error
+        clean = corrupt_packed_weights(packed, FaultPlan(rate=0.0))
+        if not np.array_equal(clean.unpack(), weights.reshape(weights.shape[0], -1)):
+            return f"rate-0 weight round trip mismatch: w={weights.shape}"
     via_words = olaccel_conv2d(acts, weights, stride, pad, packed=packed)
     if not np.array_equal(via_words.psum, reference):
         return f"bit-codec mismatch: shape={acts.shape} w={weights.shape}"
@@ -73,7 +107,7 @@ def run(iterations: int, seed: int) -> int:
     failures = 0
     for i in range(iterations):
         acts, weights, stride, pad = random_case(rng)
-        error = check_case(acts, weights, stride, pad)
+        error = check_case(acts, weights, stride, pad, fault_seed=seed + i)
         if error:
             failures += 1
             print(f"[{i}] {error}")
