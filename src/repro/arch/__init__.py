@@ -41,15 +41,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "layer_footprint",
             "olaccel_tiling",
         ),
-        ".bitcodec": (
-            "MAX_SPILL_CHUNKS",
-            "decode_chunk",
-            "decode_packed",
-            "decode_table",
-            "encode_chunk",
-            "encode_packed",
-            "encode_table",
-        ),
+        ".bitcodec": ("MAX_SPILL_CHUNKS", "decode_packed", "encode_packed"),
         ".energy": ("DEFAULT_ENERGY", "EnergyBreakdown", "EnergyModel", "EnergyParams"),
         ".packing": ("PackedWeights", "WeightTables", "pack_weights"),
         ".stats": ("LayerStats", "RunStats", "STATS_SCHEMA_VERSION"),

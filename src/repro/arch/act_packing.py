@@ -12,18 +12,17 @@ tests can prove the layout lossless end-to-end:
 It also reports the exact storage footprint both halves occupy, which the
 energy model's activation terms are anchored to.
 
-Like the weight packer (:mod:`repro.arch.packing`), the packer keeps two
-representations: the fast path builds a flat ``(n, 4)`` outlier
-coordinate table straight from ``argwhere`` and materializes the
-per-entry :class:`OutlierActivation` FIFO list lazily on first access;
-``slow_reference=True`` is the fully scalar executable specification
-that walks every (channel, row, col) element in FIFO order. Both are
-bit-identical (tests/test_vectorized_equiv.py).
+The outlier FIFO has one in-memory form, a flat ``(n, 4)`` coordinate
+table built straight from ``argwhere``; the fault striker, the swarm
+validator and the unpack scatter all work on it. The per-element scalar
+packer and the per-entry unpack it is held identical to live in
+:mod:`repro.reference` (tests/test_vectorized_equiv.py).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,96 +39,33 @@ ACT_NORMAL_MAX = 15
 OUTLIER_ENTRY_BITS = 16 + 24
 
 
+@dataclass(frozen=True, eq=False)
 class PackedActivations:
     """One layer's input activations in on-chip form.
 
     ``dense`` is a (chunks, 16) int array of 4-bit levels in channel-major
     chunk order: chunk ``(h, w, c_blk)`` covers channels
-    ``[16 c_blk, 16 c_blk + 16)`` at pixel ``(h, w)``. The outlier FIFO
-    carries the diverted high-precision activations with their
-    coordinates, held in either of two interchangeable forms:
-
-    - a flat ``(n, 4)`` int64 coordinate table of (c, h, w, value) rows
-      (the fast packer's native output, consumed directly by the
-      vectorized unpack scatter and the fault-injection striker);
-    - a list of :class:`OutlierActivation` entries (the FIFO the scalar
-      paths walk), materialized lazily from the table on first access.
-
-    Whichever form exists is converted to the other on demand; assigning
-    ``outliers`` drops a stale table. FIFO order is C-order over
-    (channel, row, col) in both forms.
+    ``[16 c_blk, 16 c_blk + 16)`` at pixel ``(h, w)``. ``outlier_table``
+    is the outlier FIFO: an ``(n, 4)`` int64 array of (c, h, w, value)
+    rows in FIFO order, C-order over (channel, row, col). ``outliers`` is
+    a read-only :class:`OutlierActivation` view of it, built afresh on
+    each access.
     """
 
-    def __init__(
-        self,
-        dense: np.ndarray,
-        outliers: Optional[Sequence[OutlierActivation]] = None,
-        shape: tuple = (),
-        outlier_table: Optional[np.ndarray] = None,
-    ):
-        self.dense = dense
-        self.shape = tuple(shape)
-        self._outliers: Optional[List[OutlierActivation]] = (
-            list(outliers) if outliers is not None else None
-        )
-        self._table: Optional[np.ndarray] = outlier_table
-        if self._outliers is None and self._table is None:
-            self._outliers = []
-
-    # -- the two outlier forms ----------------------------------------------
+    dense: np.ndarray
+    shape: Tuple[int, int, int]
+    outlier_table: np.ndarray
 
     @property
     def outliers(self) -> List[OutlierActivation]:
-        """The outlier FIFO as entry objects (materialized lazily)."""
-        if self._outliers is None:
-            self._outliers = [
-                OutlierActivation(value=value, w_idx=col, h_idx=row, c_idx=channel)
-                for channel, row, col, value in self._table.tolist()
-            ]
-        return self._outliers
-
-    @outliers.setter
-    def outliers(self, entries: Sequence[OutlierActivation]) -> None:
-        self._outliers = list(entries)
-        self._table = None  # stale: rebuild from the new FIFO on demand
+        return [
+            OutlierActivation(value=value, w_idx=col, h_idx=row, c_idx=channel)
+            for channel, row, col, value in self.outlier_table.tolist()
+        ]
 
     @property
     def n_outliers(self) -> int:
-        """FIFO entry count, without materializing either form."""
-        if self._table is not None:
-            return int(self._table.shape[0])
-        return len(self._outliers)
-
-    def _coord_table(self) -> np.ndarray:
-        """(n_outliers, 4) int64 rows of (c, h, w, value) — the FIFO as an
-        array, for the vectorized unpack scatter and the swarm striker."""
-        if self._table is None:
-            self._table = np.array(
-                [(e.c_idx, e.h_idx, e.w_idx, e.value) for e in self._outliers],
-                dtype=np.int64,
-            ).reshape(len(self._outliers), 4)
-        return self._table
-
-    def replace_streams(
-        self,
-        dense: Optional[np.ndarray] = None,
-        outliers: Optional[Sequence[OutlierActivation]] = None,
-    ) -> "PackedActivations":
-        """A copy with the dense stream and/or outlier FIFO swapped out
-        (the fault injector's strike-and-rebuild step)."""
-        out = PackedActivations(
-            dense=self.dense if dense is None else dense,
-            shape=self.shape,
-        )
-        if outliers is not None:
-            out._outliers = list(outliers)
-        elif self._outliers is not None:
-            out._outliers = list(self._outliers)
-            out._table = self._table
-        else:
-            out._table = self._table
-            out._outliers = None
-        return out
+        return int(self.outlier_table.shape[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedActivations):
@@ -137,7 +73,7 @@ class PackedActivations:
         return (
             self.shape == other.shape
             and np.array_equal(self.dense, other.dense)
-            and self.outliers == other.outliers
+            and np.array_equal(self.outlier_table, other.outlier_table)
         )
 
     # -- footprint and density ----------------------------------------------
@@ -180,35 +116,19 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _pack_scalar(levels: np.ndarray, normal_max: int) -> PackedActivations:
-    """The executable specification: walk every element in Python.
+def pack_activations(levels: np.ndarray, normal_max: int = ACT_NORMAL_MAX) -> PackedActivations:
+    """Split a (C, H, W) non-negative level tensor into dense + outliers.
 
-    Outliers are collected in FIFO order (C-order over channel, row,
-    col); dense values land in chunk ``(row * W + col) * n_blocks + blk``
-    at lane ``channel % 16`` — the Fig. 6 traversal, one element at a
-    time the way the store hardware would stream them.
+    Channels are padded to a multiple of 16 with zeros. Values above
+    ``normal_max`` go to the outlier FIFO and leave a zero in the dense
+    stream (they are "stored only in the swarm buffer", Sec. III-A).
+
+    One comparison, one ``argwhere`` and one gather build the dense chunk
+    grid and the outlier table;
+    :func:`repro.reference.pack_activations_scalar` is the per-element
+    walk they are held identical to.
     """
-    c, h, w = levels.shape
-    n_blocks = -(-c // LANES)
-    chunks = np.zeros((h * w * n_blocks, LANES), dtype=np.int64)
-    outliers: List[OutlierActivation] = []
-    for channel in range(c):
-        block, lane = divmod(channel, LANES)
-        plane = levels[channel]
-        for row in range(h):
-            for col in range(w):
-                value = int(plane[row, col])
-                if value > normal_max:
-                    outliers.append(
-                        OutlierActivation(value=value, w_idx=col, h_idx=row, c_idx=channel)
-                    )
-                else:
-                    chunks[(row * w + col) * n_blocks + block, lane] = value
-    return PackedActivations(dense=chunks, outliers=outliers, shape=(c, h, w))
-
-
-def _pack_fast(levels: np.ndarray, normal_max: int) -> PackedActivations:
-    """Vectorized split: one comparison, one ``argwhere``, one gather."""
+    levels = _check_levels(levels)
     c, h, w = levels.shape
     n_blocks = -(-c // LANES)
     if n_blocks * LANES == c:
@@ -222,47 +142,20 @@ def _pack_fast(levels: np.ndarray, normal_max: int) -> PackedActivations:
     dense = np.where(is_outlier, 0, padded)
     # chunk order: (h, w, channel block) — the traversal of Fig. 6.
     chunks = dense.reshape(n_blocks, LANES, h, w).transpose(2, 3, 0, 1).reshape(-1, LANES)
-    return PackedActivations(
-        dense=np.ascontiguousarray(chunks), shape=(c, h, w), outlier_table=table
-    )
+    return PackedActivations(dense=np.ascontiguousarray(chunks), shape=(c, h, w), outlier_table=table)
 
 
-def pack_activations(
-    levels: np.ndarray, normal_max: int = ACT_NORMAL_MAX, slow_reference: bool = False
-) -> PackedActivations:
-    """Split a (C, H, W) non-negative level tensor into dense + outliers.
-
-    Channels are padded to a multiple of 16 with zeros. Values above
-    ``normal_max`` go to the outlier FIFO and leave a zero in the dense
-    stream (they are "stored only in the swarm buffer", Sec. III-A).
-
-    The default path builds the whole dense chunk grid and the outlier
-    coordinate table with array ops (the FIFO entry list materializes
-    lazily); ``slow_reference=True`` is the per-element scalar twin.
-    Both produce identical chunk grids and FIFO order (C-order over
-    (channel, row, col)).
-    """
-    levels = _check_levels(levels)
-    if slow_reference:
-        return _pack_scalar(levels, normal_max)
-    return _pack_fast(levels, normal_max)
-
-
-def unpack_activations(packed: PackedActivations, slow_reference: bool = False) -> np.ndarray:
+def unpack_activations(packed: PackedActivations) -> np.ndarray:
     """Reassemble the original (C, H, W) level tensor (dense + outliers).
 
-    The default path scatters all outlier FIFO entries in one fancy-index
-    assignment; ``slow_reference=True`` keeps the per-entry loop. Both
-    write duplicates last-entry-wins.
+    All outlier FIFO entries are scattered in one fancy-index assignment;
+    duplicates are written last-entry-wins, as the per-entry loop of
+    :func:`repro.reference.unpack_activations_scalar` writes them.
     """
     c, h, w = packed.shape
     n_blocks = -(-c // LANES)
     dense = packed.dense.reshape(h, w, n_blocks, LANES).transpose(2, 3, 0, 1).reshape(n_blocks * LANES, h, w)
     out = dense.copy()
-    if slow_reference:
-        for entry in packed.outliers:
-            out[entry.c_idx, entry.h_idx, entry.w_idx] = entry.value
-    elif packed.n_outliers:
-        table = packed._coord_table()
-        out[table[:, 0], table[:, 1], table[:, 2]] = table[:, 3]
+    table = packed.outlier_table
+    out[table[:, 0], table[:, 1], table[:, 2]] = table[:, 3]
     return out[:c]

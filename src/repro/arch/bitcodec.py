@@ -1,9 +1,9 @@
 """Bit-level serialization of weight chunks (the literal 80-bit words).
 
-:mod:`repro.arch.packing` works on structured :class:`WeightChunk`
-objects; this module lowers them to the actual 80-bit buffer words of
-Fig. 5 and raises them back, so the on-chip format is modelled down to
-the bit:
+This module lowers a packed weight table (:mod:`repro.arch.packing`) to
+the actual 80-bit buffer words of Fig. 5 and raises them back, a whole
+table at a time from its array form, so the on-chip format is modelled
+down to the bit:
 
 ====================  =======  =============================================
 field                 bits     contents
@@ -22,27 +22,23 @@ three bits and a sign bit ... are stored in the associated position"), so
 an outlier whose LSB magnitude is zero (e.g. level -8) still encodes its
 sign in the nibble's sign bit; the decoder reads the raw bit rather than
 the integer sign.
+
+The per-chunk codec (``encode_chunk``/``decode_chunk`` and the
+``encode_table``/``decode_table`` list walkers) that the vectorized one
+is held identical to lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import CapacityError, ChunkIntegrityError, QuantRangeError
-from .chunks import LANES, WEIGHT_CHUNK_BITS, WeightChunk
+from .chunks import LANES, WEIGHT_CHUNK_BITS
 from .packing import PackedWeights, WeightTables
 
-__all__ = [
-    "encode_chunk",
-    "decode_chunk",
-    "encode_table",
-    "decode_table",
-    "encode_packed",
-    "decode_packed",
-    "MAX_SPILL_CHUNKS",
-]
+__all__ = ["encode_packed", "decode_packed", "MAX_SPILL_CHUNKS"]
 
 #: ol_ptr is 8 bits and reserves 0 for "no spill".
 MAX_SPILL_CHUNKS = 254
@@ -52,145 +48,6 @@ _OL_PTR_SHIFT = _LANE_FIELD_BITS
 _OL_IDX_SHIFT = _OL_PTR_SHIFT + 8
 _OL_MSB_SHIFT = _OL_IDX_SHIFT + 4
 
-
-def _nibble(magnitude: int, negative: bool) -> int:
-    if not 0 <= magnitude <= 7:
-        raise QuantRangeError(f"lane magnitude out of range: {magnitude}")
-    return (8 if negative else 0) | magnitude
-
-
-def _lane_signs(chunk: WeightChunk, spill: Optional[WeightChunk]) -> List[bool]:
-    """Per-lane sign bits, recovering signs hidden by zero LSB magnitudes."""
-    signs = [value < 0 for value in chunk.lanes]
-    if chunk.has_single_outlier and chunk.ol_msb < 0:
-        signs[chunk.ol_idx] = True
-    if chunk.has_multi_outlier:
-        if spill is None:
-            raise ChunkIntegrityError(
-                "encoding a multi-outlier chunk requires its spill chunk", field="ol_ptr"
-            )
-        for lane, msb in enumerate(spill.lanes):
-            if msb < 0:
-                signs[lane] = True
-    return signs
-
-
-def encode_chunk(chunk: WeightChunk, spill: Optional[WeightChunk] = None) -> int:
-    """Serialize one chunk into its 80-bit integer word.
-
-    For a multi-outlier base chunk, pass the referenced ``spill`` chunk so
-    zero-LSB outlier lanes still encode their sign bit.
-    """
-    word = 0
-    if chunk.is_spill:
-        for lane, value in enumerate(chunk.lanes):
-            magnitude = abs(value)
-            if magnitude > 15:
-                raise QuantRangeError(f"spill MSB magnitude out of range: {value}")
-            word |= magnitude << (4 * lane)
-    else:
-        signs = _lane_signs(chunk, spill)
-        for lane, value in enumerate(chunk.lanes):
-            word |= _nibble(abs(value), signs[lane]) << (4 * lane)
-    if chunk.ol_ptr is not None:
-        if not 0 <= chunk.ol_ptr < MAX_SPILL_CHUNKS:
-            raise QuantRangeError(f"ol_ptr out of the 8-bit field: {chunk.ol_ptr}")
-        word |= (chunk.ol_ptr + 1) << _OL_PTR_SHIFT
-    if not 0 <= chunk.ol_idx < LANES:
-        raise QuantRangeError(f"ol_idx out of range: {chunk.ol_idx}")
-    word |= chunk.ol_idx << _OL_IDX_SHIFT
-    msb_magnitude = abs(chunk.ol_msb)
-    if msb_magnitude > 15:
-        raise QuantRangeError(f"ol_msb out of the 4-bit field: {chunk.ol_msb}")
-    word |= msb_magnitude << _OL_MSB_SHIFT
-    assert word < (1 << WEIGHT_CHUNK_BITS)
-    return word
-
-
-def _raw_lanes(word: int) -> List[int]:
-    return [(word >> (4 * lane)) & 0xF for lane in range(LANES)]
-
-
-def decode_chunk(word: int, is_spill: bool = False) -> WeightChunk:
-    """Inverse of :func:`encode_chunk`.
-
-    Spill chunks decode their lanes as unsigned magnitudes;
-    :func:`decode_table` re-applies the signs recorded in the base chunk.
-    """
-    if not 0 <= word < (1 << WEIGHT_CHUNK_BITS):
-        raise ChunkIntegrityError("word does not fit the 80-bit chunk format")
-    raw = _raw_lanes(word)
-    if is_spill:
-        return WeightChunk(lanes=tuple(raw), is_spill=True)
-
-    lanes = tuple((-(n & 7) if n & 8 else n & 7) for n in raw)
-    ol_ptr_raw = (word >> _OL_PTR_SHIFT) & 0xFF
-    ol_idx = (word >> _OL_IDX_SHIFT) & 0xF
-    ol_msb = (word >> _OL_MSB_SHIFT) & 0xF
-    if ol_ptr_raw:
-        return WeightChunk(lanes=lanes, ol_ptr=ol_ptr_raw - 1)
-    if ol_msb:
-        sign = -1 if raw[ol_idx] & 8 else 1  # sign bit, not integer sign
-        return WeightChunk(lanes=lanes, ol_idx=ol_idx, ol_msb=sign * ol_msb)
-    return WeightChunk(lanes=lanes)
-
-
-def encode_table(base_chunks: List[WeightChunk], spill_chunks: List[WeightChunk]) -> Tuple[List[int], List[int]]:
-    """Serialize a packed weight table into base + spill word lists."""
-    if len(spill_chunks) > MAX_SPILL_CHUNKS:
-        raise CapacityError(
-            f"{len(spill_chunks)} spill chunks exceed the 8-bit OLptr space; "
-            "split the table across buffer tiles"
-        )
-    base_words = []
-    for chunk in base_chunks:
-        spill = spill_chunks[chunk.ol_ptr] if chunk.has_multi_outlier else None
-        base_words.append(encode_chunk(chunk, spill))
-    return base_words, [encode_chunk(c) for c in spill_chunks]
-
-
-def decode_table(
-    base_words: List[int],
-    spill_words: List[int],
-    strict: bool = True,
-) -> Tuple[List[WeightChunk], List[WeightChunk]]:
-    """Inverse of :func:`encode_table` with spill-lane signs re-applied.
-
-    A dangling ``ol_ptr`` (pointing past the spill table — impossible in
-    a healthy encoding, the signature of a corrupted word) raises
-    :class:`ChunkIntegrityError` under ``strict``; with ``strict=False``
-    the chunk is decoded as-is so a downstream validator
-    (:func:`repro.faults.validate_packed`) can detect, count and repair
-    it under a recovery policy.
-    """
-    spills_unsigned = [decode_chunk(w, is_spill=True) for w in spill_words]
-    bases: List[WeightChunk] = []
-    signed_spills: List[WeightChunk] = list(spills_unsigned)
-    for index, word in enumerate(base_words):
-        chunk = decode_chunk(word)
-        bases.append(chunk)
-        if chunk.has_multi_outlier:
-            if not 0 <= chunk.ol_ptr < len(spills_unsigned):
-                if strict:
-                    raise ChunkIntegrityError(
-                        f"ol_ptr {chunk.ol_ptr} dangles past the "
-                        f"{len(spills_unsigned)}-entry spill table",
-                        chunk_index=index,
-                        field="ol_ptr",
-                    )
-                continue
-            raw = _raw_lanes(word)
-            spill = spills_unsigned[chunk.ol_ptr]
-            signed = tuple(
-                (-m if raw[lane] & 8 else m) for lane, m in enumerate(spill.lanes)
-            )
-            signed_spills[chunk.ol_ptr] = WeightChunk(lanes=signed, is_spill=True)
-    return bases, signed_spills
-
-
-# ---------------------------------------------------------------------------
-# Vectorized whole-table codec (PackedWeights <-> word lists in one shot)
-# ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 _NIBBLE_SHIFTS = (4 * np.arange(LANES)).astype(np.uint64)
@@ -207,15 +64,13 @@ def _split_nibbles(lo: np.ndarray) -> np.ndarray:
     return ((lo[:, None] >> _NIBBLE_SHIFTS) & np.uint64(0xF)).astype(np.int64)
 
 
-def encode_packed(packed: PackedWeights, slow_reference: bool = False) -> Tuple[List[int], List[int]]:
+def encode_packed(packed: PackedWeights) -> Tuple[List[int], List[int]]:
     """Serialize a :class:`PackedWeights` into base + spill word lists.
 
-    Bit-exact to :func:`encode_table` on the same table (the equivalence
-    tests assert word-for-word identity); the fast path encodes the whole
-    table from its array form without building chunk objects.
+    Encodes the whole table from its array form; the equivalence tests
+    hold it word for word to the per-chunk
+    :func:`repro.reference.encode_table`.
     """
-    if slow_reference:
-        return encode_table(packed.base_chunks, packed.spill_chunks)
     t = packed.tables
     if t.n_spill > MAX_SPILL_CHUNKS:
         raise CapacityError(
@@ -266,18 +121,18 @@ def decode_packed(
     reduction: int,
     out_channels: int,
     strict: bool = True,
-    slow_reference: bool = False,
 ) -> PackedWeights:
-    """Inverse of :func:`encode_packed`: words -> table-backed PackedWeights.
+    """Inverse of :func:`encode_packed`: words -> PackedWeights.
 
     Decodes whole word lists at once and re-applies spill-lane signs from
-    the base chunks' nibble sign bits, with the same strict/non-strict
-    dangling-``ol_ptr`` contract as :func:`decode_table`. The chunk lists
-    of the returned object are identical to the scalar decoder's.
+    the base chunks' nibble sign bits. A dangling ``ol_ptr`` (pointing
+    past the spill table — impossible in a healthy encoding, the
+    signature of a corrupted word) raises :class:`ChunkIntegrityError`
+    under ``strict``; with ``strict=False`` the row is decoded as-is so
+    :func:`repro.faults.validate_packed` can detect, count and repair it
+    under a recovery policy. The result equals the per-chunk
+    :func:`repro.reference.decode_table`'s, chunk for chunk.
     """
-    if slow_reference:
-        bases, spills = decode_table(base_words, spill_words, strict=strict)
-        return PackedWeights(bases, spills, n_groups, reduction, out_channels)
     limit = 1 << WEIGHT_CHUNK_BITS
     for word in base_words:
         if not 0 <= word < limit:
@@ -320,7 +175,7 @@ def decode_packed(
         multi = multi & ~dangling
     valid_rows = np.flatnonzero(multi)
     if valid_rows.size:
-        # last write wins on duplicate pointers, matching the scalar loop
+        # last write wins on duplicate pointers, matching the per-chunk loop
         ptrs = ol_ptr[valid_rows]
         spill_lanes[ptrs] = np.where(raw[valid_rows] & 8, -spill_lanes[ptrs], spill_lanes[ptrs])
 

@@ -12,27 +12,23 @@ then costs two cycles, Fig. 8).
 The packer is exact: :meth:`PackedWeights.unpack` reconstructs the original
 integer levels, which hypothesis round-trip tests verify.
 
-Two equivalent representations coexist. The *table* form
-(:class:`WeightTables`) holds the whole packed tensor as flat numpy
-arrays and is what the vectorized fast paths and the fault validator
-operate on; the *chunk* form is the per-chunk :class:`WeightChunk` object
-list the scalar reference paths walk. :class:`PackedWeights` converts
-lazily between the two, so ``pack_weights`` never builds chunk objects
-unless something asks for them. ``slow_reference=True`` selects the
-original per-element scalar implementation everywhere a vectorized path
-exists; ``tests/test_vectorized_equiv.py`` proves the two bit-exact on
-randomized inputs.
+A packed tensor has one in-memory form, the flat-array
+:class:`WeightTables`; the packer, the bit codec, the fault validator
+and the datapath all work on it. ``base_chunks``/``spill_chunks`` are
+read-only :class:`WeightChunk` views of it for tests and docs. The
+per-chunk scalar packer and unpacker that the vectorized ones are held
+identical to live in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, QuantRangeError
-from .chunks import LANES, WEIGHT_CHUNK_BITS, WeightChunk, combine_outlier_weight, split_outlier_weight
+from .chunks import LANES, WEIGHT_CHUNK_BITS, WeightChunk
 
 __all__ = ["PackedWeights", "WeightTables", "pack_weights", "normal_max_level", "outlier_max_level"]
 
@@ -44,14 +40,13 @@ outlier_max_level = 127
 
 @dataclass(frozen=True)
 class WeightTables:
-    """A packed weight table as flat arrays — the vectorized twin of the
-    :class:`WeightChunk` lists.
+    """A packed weight table as flat arrays.
 
     Row ``i`` of every base array describes base chunk ``i``
     (``i = g * reduction + r``). ``ol_ptr`` uses ``-1`` for "no spill"
-    (the chunk form uses ``None``); ``ol_idx``/``ol_msb`` are zero for
-    multi-outlier rows, mirroring how :func:`repro.arch.bitcodec.decode_chunk`
-    drops those fields when ``ol_ptr`` is set.
+    (the chunk view uses ``None``); the packer and the decoder leave
+    ``ol_idx``/``ol_msb`` zero on multi-outlier rows, and the chunk view
+    drops them there whatever they hold.
     """
 
     #: (n_base, LANES) signed lane LSB values.
@@ -74,160 +69,90 @@ class WeightTables:
         return self.spill_lanes.shape[0]
 
 
-def _tables_from_chunks(base_chunks: List[WeightChunk], spill_chunks: List[WeightChunk]) -> WeightTables:
-    n = len(base_chunks)
-    lanes = np.zeros((n, LANES), dtype=np.int64)
-    ol_idx = np.zeros(n, dtype=np.int64)
-    ol_msb = np.zeros(n, dtype=np.int64)
-    ol_ptr = np.full(n, -1, dtype=np.int64)
-    for i, chunk in enumerate(base_chunks):
-        lanes[i] = chunk.lanes
-        if chunk.ol_ptr is not None:
-            ol_ptr[i] = chunk.ol_ptr
-        else:
-            ol_idx[i] = chunk.ol_idx
-            ol_msb[i] = chunk.ol_msb
-    spill = np.array([c.lanes for c in spill_chunks], dtype=np.int64).reshape(len(spill_chunks), LANES)
-    return WeightTables(lanes=lanes, ol_idx=ol_idx, ol_msb=ol_msb, ol_ptr=ol_ptr, spill_lanes=spill)
+def _canonical(t: WeightTables) -> Tuple[np.ndarray, ...]:
+    """The fields the chunk view keeps: ``ol_idx``/``ol_msb`` only on
+    single-outlier rows, and every negative ``ol_ptr`` as -1."""
+    multi = t.ol_ptr >= 0
+    single = ~multi & (t.ol_msb != 0)
+    return (
+        t.lanes,
+        np.where(multi, t.ol_ptr, -1),
+        np.where(single, t.ol_idx, 0),
+        np.where(single, t.ol_msb, 0),
+        t.spill_lanes,
+    )
 
 
-def _chunks_from_tables(tables: WeightTables) -> Tuple[List[WeightChunk], List[WeightChunk]]:
-    base: List[WeightChunk] = []
-    for lanes, idx, msb, ptr in zip(
-        tables.lanes.tolist(), tables.ol_idx.tolist(), tables.ol_msb.tolist(), tables.ol_ptr.tolist()
-    ):
-        if ptr >= 0:
-            base.append(WeightChunk(lanes=tuple(lanes), ol_ptr=ptr))
-        elif msb != 0:
-            base.append(WeightChunk(lanes=tuple(lanes), ol_idx=idx, ol_msb=msb))
-        else:
-            base.append(WeightChunk(lanes=tuple(lanes)))
-    spill = [WeightChunk(lanes=tuple(l), is_spill=True) for l in tables.spill_lanes.tolist()]
-    return base, spill
-
-
+@dataclass(frozen=True, eq=False)
 class PackedWeights:
-    """A weight tensor packed into base + spill chunks.
+    """A weight tensor packed into base + spill chunks, held as one
+    :class:`WeightTables`.
 
-    ``base_chunks[g * reduction + r]`` covers output-channel group ``g`` at
+    Base chunk ``g * reduction + r`` covers output-channel group ``g`` at
     reduction index ``r`` (reduction = flattened (in_c, kh, kw) in im2col
-    order). ``spill_chunks`` are indexed by the base chunks' ``ol_ptr``.
-
-    Construct from chunk lists (positional, the historical layout) or from
-    a :class:`WeightTables` via the ``tables`` keyword; either form
-    materializes the other on demand. Replace chunk lists through the
-    ``base_chunks``/``spill_chunks`` setters — in-place mutation of a
-    returned list is not tracked (the outlier-chunk counts are cached at
-    construction, not rescanned per access).
+    order); ``ol_ptr`` indexes the spill rows. ``base_chunks`` and
+    ``spill_chunks`` are read-only :class:`WeightChunk` views, built
+    afresh on each access.
     """
 
-    def __init__(
-        self,
-        base_chunks: Optional[List[WeightChunk]] = None,
-        spill_chunks: Optional[List[WeightChunk]] = None,
-        n_groups: int = 0,
-        reduction: int = 0,
-        out_channels: int = 0,
-        *,
-        tables: Optional[WeightTables] = None,
-    ):
-        if tables is None and base_chunks is None:
-            raise ConfigError("PackedWeights needs either chunk lists or tables")
-        self._base_chunks = list(base_chunks) if base_chunks is not None else None
-        self._spill_chunks = list(spill_chunks) if spill_chunks is not None else None
-        if self._base_chunks is not None and self._spill_chunks is None:
-            self._spill_chunks = []
-        self._tables = tables
-        self.n_groups = n_groups
-        self.reduction = reduction
-        self.out_channels = out_channels
-        self._recount()
-
-    def _recount(self) -> None:
-        """Cache the single/multi outlier chunk counts (once, at construction
-        or chunk-list replacement — not per property access)."""
-        if self._base_chunks is not None:
-            self._single_count = sum(1 for c in self._base_chunks if c.has_single_outlier)
-            self._multi_count = sum(1 for c in self._base_chunks if c.has_multi_outlier)
-        else:
-            t = self._tables
-            self._single_count = int(((t.ol_ptr < 0) & (t.ol_msb != 0)).sum())
-            self._multi_count = int((t.ol_ptr >= 0).sum())
-
-    # -- representation conversion ---------------------------------------
-
-    @property
-    def tables(self) -> WeightTables:
-        """The flat-array form (built from the chunk lists on first use)."""
-        if self._tables is None:
-            self._tables = _tables_from_chunks(self._base_chunks, self._spill_chunks)
-        return self._tables
+    tables: WeightTables
+    n_groups: int
+    reduction: int
+    out_channels: int
 
     @property
     def base_chunks(self) -> List[WeightChunk]:
-        if self._base_chunks is None:
-            self._base_chunks, self._spill_chunks = _chunks_from_tables(self._tables)
-        return self._base_chunks
-
-    @base_chunks.setter
-    def base_chunks(self, chunks: List[WeightChunk]) -> None:
-        if self._spill_chunks is None:  # keep the spill half before dropping tables
-            _, self._spill_chunks = _chunks_from_tables(self._tables)
-        self._base_chunks = list(chunks)
-        self._tables = None
-        self._recount()
+        t = self.tables
+        base: List[WeightChunk] = []
+        rows = zip(t.lanes.tolist(), t.ol_idx.tolist(), t.ol_msb.tolist(), t.ol_ptr.tolist())
+        for lanes, idx, msb, ptr in rows:
+            if ptr >= 0:
+                base.append(WeightChunk(lanes=tuple(lanes), ol_ptr=ptr))
+            elif msb != 0:
+                base.append(WeightChunk(lanes=tuple(lanes), ol_idx=idx, ol_msb=msb))
+            else:
+                base.append(WeightChunk(lanes=tuple(lanes)))
+        return base
 
     @property
     def spill_chunks(self) -> List[WeightChunk]:
-        if self._spill_chunks is None:
-            self._base_chunks, self._spill_chunks = _chunks_from_tables(self._tables)
-        return self._spill_chunks
-
-    @spill_chunks.setter
-    def spill_chunks(self, chunks: List[WeightChunk]) -> None:
-        if self._base_chunks is None:
-            self._base_chunks, _ = _chunks_from_tables(self._tables)
-        self._spill_chunks = list(chunks)
-        self._tables = None
-        self._recount()
+        return [WeightChunk(lanes=tuple(l), is_spill=True) for l in self.tables.spill_lanes.tolist()]
 
     def __eq__(self, other: object) -> bool:
+        """Equal when the chunk views are equal: compares the arrays the
+        chunk form keeps, without building it."""
         if not isinstance(other, PackedWeights):
             return NotImplemented
         return (
             self.n_groups == other.n_groups
             and self.reduction == other.reduction
             and self.out_channels == other.out_channels
-            and self.base_chunks == other.base_chunks
-            and self.spill_chunks == other.spill_chunks
+            and all(map(np.array_equal, _canonical(self.tables), _canonical(other.tables)))
         )
 
-    # -- cached counts and footprint -------------------------------------
+    # -- counts and footprint --------------------------------------------
 
     @property
     def n_base(self) -> int:
-        return len(self._base_chunks) if self._base_chunks is not None else self._tables.n_base
+        return self.tables.n_base
 
     @property
     def n_spill(self) -> int:
-        return len(self._spill_chunks) if self._spill_chunks is not None else self._tables.n_spill
+        return self.tables.n_spill
 
     @property
     def single_outlier_chunks(self) -> int:
-        return self._single_count
+        t = self.tables
+        return int(((t.ol_ptr < 0) & (t.ol_msb != 0)).sum())
 
     @property
     def multi_outlier_chunks(self) -> int:
-        return self._multi_count
+        return int(self.multi_outlier_mask.sum())
 
     @property
     def multi_outlier_mask(self) -> np.ndarray:
         """(n_base,) bool — which base chunks pay the two-cycle spill pass."""
-        if self._tables is not None:
-            return self._tables.ol_ptr >= 0
-        return np.fromiter(
-            (c.has_multi_outlier for c in self._base_chunks), dtype=bool, count=len(self._base_chunks)
-        )
+        return self.tables.ol_ptr >= 0
 
     @property
     def total_chunks(self) -> int:
@@ -241,14 +166,12 @@ class PackedWeights:
     @property
     def multi_outlier_fraction(self) -> float:
         """Fraction of base chunks paying the two-cycle penalty (Fig. 17)."""
-        return self._multi_count / self.n_base if self.n_base else 0.0
+        return self.multi_outlier_chunks / self.n_base if self.n_base else 0.0
 
     # -- unpacking -------------------------------------------------------
 
-    def unpack(self, slow_reference: bool = False) -> np.ndarray:
+    def unpack(self) -> np.ndarray:
         """Reconstruct the (out_channels, reduction) integer level matrix."""
-        if slow_reference:
-            return self._unpack_scalar()
         t = self.tables
         lanes = t.lanes.copy()
         single = np.flatnonzero((t.ol_ptr < 0) & (t.ol_msb != 0))
@@ -263,22 +186,6 @@ class PackedWeights:
         )
         return levels[: self.out_channels]
 
-    def _unpack_scalar(self) -> np.ndarray:
-        levels = np.zeros((self.n_groups * LANES, self.reduction), dtype=np.int64)
-        for g in range(self.n_groups):
-            for r in range(self.reduction):
-                chunk = self.base_chunks[g * self.reduction + r]
-                lane_values = list(chunk.lanes)
-                if chunk.has_multi_outlier:
-                    spill = self.spill_chunks[chunk.ol_ptr]
-                    for lane in range(LANES):
-                        lane_values[lane] = combine_outlier_weight(spill.lanes[lane], lane_values[lane])
-                elif chunk.has_single_outlier:
-                    lane = chunk.ol_idx
-                    lane_values[lane] = combine_outlier_weight(chunk.ol_msb, lane_values[lane])
-                levels[g * LANES : (g + 1) * LANES, r] = lane_values
-        return levels[: self.out_channels]
-
 
 def _validate_levels(levels: np.ndarray) -> np.ndarray:
     levels = np.asarray(levels, dtype=np.int64)
@@ -289,21 +196,17 @@ def _validate_levels(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
-def pack_weights(levels: np.ndarray, slow_reference: bool = False) -> PackedWeights:
+def pack_weights(levels: np.ndarray) -> PackedWeights:
     """Pack a (out_channels, reduction) integer level matrix into chunks.
 
     Levels must fit the 8-bit outlier grid [-127, 127]; levels in [-7, 7]
     are normal, anything larger is an outlier. Output channels are padded
     with zero lanes to a multiple of 16.
 
-    The default path classifies and splits the whole chunk grid with
-    numpy batch operations and returns a table-backed
-    :class:`PackedWeights` (chunk objects are materialized lazily);
-    ``slow_reference=True`` runs the original per-chunk scalar loop. Both
-    produce identical chunks and identical 80-bit words.
+    The whole chunk grid is classified and split with numpy batch
+    operations; :func:`repro.reference.pack_weights_scalar` is the
+    per-chunk loop it is held identical to.
     """
-    if slow_reference:
-        return _pack_weights_scalar(levels)
     levels = _validate_levels(levels)
 
     out_channels, reduction = levels.shape
@@ -344,52 +247,4 @@ def pack_weights(levels: np.ndarray, slow_reference: bool = False) -> PackedWeig
     )
     return PackedWeights(
         tables=tables, n_groups=n_groups, reduction=reduction, out_channels=out_channels
-    )
-
-
-def _pack_weights_scalar(levels: np.ndarray) -> PackedWeights:
-    """The original per-chunk packer — kept as the golden scalar reference."""
-    levels = _validate_levels(levels)
-
-    out_channels, reduction = levels.shape
-    n_groups = -(-out_channels // LANES)
-    padded = np.zeros((n_groups * LANES, reduction), dtype=np.int64)
-    padded[:out_channels] = levels
-
-    base_chunks: List[WeightChunk] = []
-    spill_chunks: List[WeightChunk] = []
-    for g in range(n_groups):
-        block = padded[g * LANES : (g + 1) * LANES]
-        for r in range(reduction):
-            lane_levels = block[:, r]
-            outlier_lanes = np.flatnonzero(np.abs(lane_levels) > normal_max_level)
-            if outlier_lanes.size == 0:
-                base_chunks.append(WeightChunk(lanes=tuple(int(v) for v in lane_levels)))
-            elif outlier_lanes.size == 1:
-                lane = int(outlier_lanes[0])
-                msb, lsb = split_outlier_weight(int(lane_levels[lane]))
-                lanes = [int(v) for v in lane_levels]
-                lanes[lane] = lsb
-                base_chunks.append(WeightChunk(lanes=tuple(lanes), ol_idx=lane, ol_msb=msb))
-            else:
-                lanes = []
-                spill_lanes = []
-                for v in lane_levels:
-                    v = int(v)
-                    if abs(v) > normal_max_level:
-                        msb, lsb = split_outlier_weight(v)
-                    else:
-                        msb, lsb = 0, v
-                    lanes.append(lsb)
-                    spill_lanes.append(msb)
-                spill_index = len(spill_chunks)
-                spill_chunks.append(WeightChunk(lanes=tuple(spill_lanes), is_spill=True))
-                base_chunks.append(WeightChunk(lanes=tuple(lanes), ol_ptr=spill_index))
-
-    return PackedWeights(
-        base_chunks=base_chunks,
-        spill_chunks=spill_chunks,
-        n_groups=n_groups,
-        reduction=reduction,
-        out_channels=out_channels,
     )

@@ -13,7 +13,8 @@ at the boundaries the hardware actually crosses:
    stays in its flat-array form throughout; no chunk object is built;
 2. **activations** — per-sample :func:`pack_activations` → strike the
    dense 4-bit stream (surface ``activations``) and the 16-bit swarm
-   values (surface ``outliers``) → :func:`validate_swarm` → unpack;
+   values (surface ``outliers``) → :func:`validate_swarm` → unpack. The
+   outlier FIFO stays in its ``(n, 4)`` table form throughout;
 3. run the normal/outlier datapath on the surviving levels, with an
    optional finite-width :class:`AccumulatorModel`, and compare against
    the clean golden reference.
@@ -31,12 +32,12 @@ encoding and is *detected* — exactly the asymmetry real hardware has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..arch.act_packing import pack_activations, unpack_activations
+from ..arch.act_packing import PackedActivations, pack_activations, unpack_activations
 from ..arch.bitcodec import decode_packed, encode_packed
 from ..arch.chunks import WEIGHT_CHUNK_BITS
 from ..arch.memory import transfer_words
@@ -134,20 +135,15 @@ def _corrupt_activations(
     act_normal_max: int,
     obs: Registry,
 ) -> np.ndarray:
-    """Strike each sample's dense stream and swarm entries, then rebuild."""
+    """Strike each sample's dense stream and swarm values, then rebuild."""
     out = np.empty_like(act_levels)
     for sample in range(act_levels.shape[0]):
         packed = pack_activations(act_levels[sample], normal_max=act_normal_max)
         dense, _ = plan.corrupt_levels(packed.dense, _ACT_STREAM_BITS, surface="activations", obs=obs)
-        entries = packed.outliers
-        if entries:
-            values = packed._coord_table()[:, 3]
-            values, _ = plan.corrupt_levels(values, _SWARM_VALUE_BITS, surface="outliers", obs=obs)
-            entries = [replace(e, value=int(v)) for e, v in zip(entries, values)]
-        entries = validate_swarm(
-            entries, packed.shape, policy=policy, obs=obs, normal_max=act_normal_max
-        )
-        struck = packed.replace_streams(dense=dense, outliers=entries)
+        table = packed.outlier_table.copy()
+        table[:, 3], _ = plan.corrupt_levels(table[:, 3], _SWARM_VALUE_BITS, surface="outliers", obs=obs)
+        table = validate_swarm(table, packed.shape, policy=policy, obs=obs, normal_max=act_normal_max)
+        struck = PackedActivations(dense=dense, shape=packed.shape, outlier_table=table)
         out[sample] = unpack_activations(struck)
     return out
 

@@ -28,7 +28,9 @@ Weight-chunk invariants audited, in order:
    exactly one owner per spill).
 
 Swarm entries are audited against the activation tensor extent and the
-16-bit value grid.
+16-bit value grid. Both audits run as masked checks over the array form
+(the weight table and the ``(n, 4)`` outlier table); no chunk or entry
+object is built.
 
 Counting contract (see docs/FAULTS.md): each offending chunk/entry
 increments ``faults/detected`` exactly once; under ``degrade``/``skip``
@@ -39,11 +41,11 @@ rate 0 validation is a provable no-op.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..arch.chunks import LANES, OutlierActivation
+from ..arch.chunks import LANES
 from ..arch.packing import PackedWeights, WeightTables, normal_max_level
 from ..constants import RECOVERY_POLICIES
 from ..errors import ChunkIntegrityError, ConfigError
@@ -161,46 +163,50 @@ def validate_packed(
 
 
 def validate_swarm(
-    entries: Sequence[OutlierActivation],
+    table: np.ndarray,
     shape: Tuple[int, int, int],
     policy: str = "raise",
     obs: Registry = NULL_REGISTRY,
     normal_max: int = 15,
-) -> List[OutlierActivation]:
-    """Audit swarm-buffer entries against their (C, H, W) tensor extent.
+) -> np.ndarray:
+    """Audit a swarm-buffer outlier table against its (C, H, W) extent.
 
-    An entry is corrupt when its coordinates left the (channel-padded)
-    tensor, its value is negative or exceeds the 16-bit grid, or its
-    value fell *below* the outlier threshold (a true outlier is by
-    definition above ``normal_max`` — a smaller value means the 16-bit
-    field was struck down into normal range, which the hardware can
-    detect for free at the comparator). ``degrade``/``skip`` both drop
-    the entry (its dense-stream slot already holds 0, the normal-path
-    value); ``raise`` names the entry.
+    ``table`` is the ``(n, 4)`` (c, h, w, value) FIFO of
+    :class:`~repro.arch.act_packing.PackedActivations`. An entry is
+    corrupt when its coordinates left the (channel-padded) tensor, its
+    value is negative or exceeds the 16-bit grid, or its value fell
+    *below* the outlier threshold (a true outlier is by definition above
+    ``normal_max`` — a smaller value means the 16-bit field was struck
+    down into normal range, which the hardware can detect for free at the
+    comparator). ``degrade``/``skip`` both drop the entry (its
+    dense-stream slot already holds 0, the normal-path value) and return
+    the kept rows in FIFO order; ``raise`` names the first corrupt entry.
+    A clean table is returned as is.
     """
     _check_policy(policy)
     c, h, w = shape
     padded_c = -(-c // LANES) * LANES
-    kept: List[OutlierActivation] = []
-    for index, entry in enumerate(entries):
-        bad = (
-            not 0 <= entry.c_idx < padded_c
-            or not 0 <= entry.h_idx < h
-            or not 0 <= entry.w_idx < w
-            or not normal_max < entry.value <= 0xFFFF
-        )
-        if not bad:
-            kept.append(entry)
-            continue
+    channel, row, col, value = table.T
+    bad = (
+        (channel < 0) | (channel >= padded_c)
+        | (row < 0) | (row >= h)
+        | (col < 0) | (col >= w)
+        | (value <= normal_max) | (value > 0xFFFF)
+    )
+    if not bad.any():
+        return table
+    if policy == "raise":
+        index = int(bad.argmax())
         obs.counter("faults/detected").add(1)
-        if policy == "raise":
-            raise ChunkIntegrityError(
-                f"swarm entry (value={entry.value}, c={entry.c_idx}, "
-                f"h={entry.h_idx}, w={entry.w_idx}) is corrupt",
-                chunk_index=index,
-                field="swarm",
-            )
-        obs.counter("faults/masked").add(1)
-        if policy == "skip":
-            obs.counter("faults/skipped").add(1)
-    return kept
+        channel, row, col, value = table[index].tolist()
+        raise ChunkIntegrityError(
+            f"swarm entry (value={value}, c={channel}, h={row}, w={col}) is corrupt",
+            chunk_index=index,
+            field="swarm",
+        )
+    detected = int(bad.sum())
+    obs.counter("faults/detected").add(detected)
+    obs.counter("faults/masked").add(detected)
+    if policy == "skip":
+        obs.counter("faults/skipped").add(detected)
+    return table[~bad]

@@ -3,9 +3,10 @@
 Times the simulator's hot paths — chunk packing, the 80-bit bit codec,
 activation packing, OAQ quantization, the analytic per-layer/network
 simulators, and an end-to-end functional AlexNet-style conv stack — and,
-wherever a vectorized path keeps a ``slow_reference`` twin, times both
-and reports the speedup. The result serializes through the standard
-``repro.experiment/v1`` envelope into a versioned ``BENCH_<date>.json``,
+wherever a vectorized path has a scalar twin in :mod:`repro.reference`
+(or, for the cluster sim, its ``slow_reference`` stepper), times both and
+reports the speedup; the slow timers keep the ``/slow_reference`` name.
+The result serializes through the standard ``repro.experiment/v1`` envelope into a versioned ``BENCH_<date>.json``,
 so the performance trajectory is recorded next to the accuracy numbers
 (docs/PERFORMANCE.md explains how to read it).
 
@@ -140,6 +141,7 @@ def _act_levels(rng: np.random.Generator, c: int, h: int, w: int, ratio: float =
 
 def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResult:
     """Run every benchmark case and return the collected timings."""
+    from .. import reference
     from ..arch.act_packing import pack_activations, unpack_activations
     from ..arch.bitcodec import decode_packed, encode_packed
     from ..arch.packing import pack_weights
@@ -179,18 +181,18 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "pack_weights",
         lambda: pack_weights(levels),
-        lambda: pack_weights(levels, slow_reference=True),
+        lambda: reference.pack_weights_scalar(levels),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"shape": [out_c, reduction], "outlier_ratio": 0.03},
     )
 
-    packed_fast = pack_weights(levels)
-    packed_slow = pack_weights(levels, slow_reference=True)
+    packed = pack_weights(levels)
+    unpack_args = reference.chunk_form(packed)  # built once: the slow path times unpacking only
     paired(
         "packed_unpack",
-        lambda: packed_fast.unpack(),
-        lambda: packed_slow.unpack(slow_reference=True),
+        lambda: packed.unpack(),
+        lambda: reference.unpack_chunks(*unpack_args),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"shape": [out_c, reduction]},
@@ -200,7 +202,7 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     codec_shape = (64, 200) if smoke else (256, 1152)
     codec_levels = _weight_levels(rng, *codec_shape, ratio=0.005)
     codec_packed = pack_weights(codec_levels)
-    codec_packed.base_chunks  # materialize once so the slow path times encoding only
+    codec_chunks = codec_packed.base_chunks, codec_packed.spill_chunks  # built once: times encoding only
     base_words, spill_words = encode_packed(codec_packed)
     decode_kwargs = dict(
         n_groups=codec_packed.n_groups,
@@ -210,7 +212,7 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "bitcodec_encode",
         lambda: encode_packed(codec_packed),
-        lambda: encode_packed(codec_packed, slow_reference=True),
+        lambda: reference.encode_table(*codec_chunks),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"shape": list(codec_shape), "n_spill": codec_packed.n_spill},
@@ -218,7 +220,7 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "bitcodec_decode",
         lambda: decode_packed(base_words, spill_words, **decode_kwargs),
-        lambda: decode_packed(base_words, spill_words, slow_reference=True, **decode_kwargs),
+        lambda: reference.decode_table(base_words, spill_words),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"n_base": len(base_words), "n_spill": len(spill_words)},
@@ -230,19 +232,20 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "pack_activations",
         lambda: pack_activations(acts),
-        lambda: pack_activations(acts, slow_reference=True),
+        lambda: reference.pack_activations_scalar(acts),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"shape": list(act_shape)},
     )
     packed_acts = pack_activations(acts)
+    fifo = packed_acts.outliers  # built once: the slow path times unpacking only
     paired(
         "unpack_activations",
         lambda: unpack_activations(packed_acts),
-        lambda: unpack_activations(packed_acts, slow_reference=True),
+        lambda: reference.unpack_activations_scalar(packed_acts.dense, packed_acts.shape, fifo),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
-        meta={"shape": list(act_shape), "outliers": len(packed_acts.outliers)},
+        meta={"shape": list(act_shape), "outliers": packed_acts.n_outliers},
     )
 
     # -- quantization (timing only — already vectorized) ------------------
@@ -286,7 +289,9 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
 
     def run_stack(slow: bool) -> None:
         for layer_acts, layer_weights, pad in stack:
-            olaccel_conv2d(layer_acts, layer_weights, pad=pad, slow_reference=slow)
+            w_mat = layer_weights.reshape(layer_weights.shape[0], -1)
+            packed = reference.pack_weights_scalar(w_mat) if slow else None
+            olaccel_conv2d(layer_acts, layer_weights, pad=pad, packed=packed)
 
     paired(
         "e2e_alexnet_functional",
@@ -323,17 +328,17 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "pe_group_pass",
         lambda: batch_pass_cycles(ev_levels, ev_spills),
-        lambda: batch_pass_cycles(ev_levels, ev_spills, slow_reference=True),
+        lambda: reference.batch_pass_cycles_scalar(ev_levels, ev_spills),
         fast_reps=3 if smoke else 5,
         slow_reps=2,
         meta={"passes": n_passes, "spill_rate": 0.1},
     )
 
     # -- col2im scatter-add (conv backward dx) ----------------------------
-    # A small-slice shape, where the indexed scatter branch is active
-    # (larger slices fall back to the slice-add loop, which IS the
-    # slow_reference algorithm — a pair there would time itself).
-    from ..nn.functional import col2im, conv_out_size
+    # A small-slice shape, where col2im takes its indexed scatter branch
+    # (larger slices take the slice-add loop, the baseline here — a pair
+    # there would time itself).
+    from ..nn.functional import _col2im_slices, col2im, conv_out_size
 
     c2i_n, c2i_c, c2i_h, c2i_k, c2i_s, c2i_p = (1, 2, 6, 5, 1, 2) if smoke else (1, 3, 8, 5, 2, 2)
     c2i_oh = conv_out_size(c2i_h, c2i_k, c2i_s, c2i_p)
@@ -342,7 +347,7 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "col2im_backward",
         lambda: col2im(c2i_cols, c2i_shape, c2i_k, c2i_k, c2i_s, c2i_p),
-        lambda: col2im(c2i_cols, c2i_shape, c2i_k, c2i_k, c2i_s, c2i_p, slow_reference=True),
+        lambda: _col2im_slices(c2i_cols, c2i_shape, c2i_k, c2i_k, c2i_s, c2i_p),
         fast_reps=20,
         slow_reps=10,
         meta={"x_shape": list(c2i_shape), "kernel": c2i_k, "stride": c2i_s, "pad": c2i_p},

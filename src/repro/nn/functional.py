@@ -51,7 +51,7 @@ __all__ = [
 #: (h, w, kernel_h, kernel_w, stride, pad). Each entry is a mutable
 #: ``[out_h, out_w, flat_indices_or_None]`` triple — the flat scatter
 #: indices into the padded plane are built lazily the first time the
-#: col2im fast path needs them, then reused by every backward pass that
+#: col2im scatter needs them, then reused by every backward pass that
 #: shares the layer geometry (networks repeat a handful of shapes).
 _COORD_CACHE: "OrderedDict[tuple, list]" = OrderedDict()
 _COORD_CACHE_MAX = 64
@@ -137,7 +137,6 @@ def col2im(
     kernel_w: int,
     stride: int,
     pad: int,
-    slow_reference: bool = False,
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add patch columns back to an image.
 
@@ -146,45 +145,52 @@ def col2im(
     needs.
 
     Small-slice problems (see :data:`_SCATTER_SLICE_LIMIT`) take an
-    indexed ``np.add.at`` scatter over the cached coordinate table;
-    larger ones keep the blocked slice-add loop, which wins there. Both
-    accumulate each padded element's contributions in the same
-    (kh, kw)-major order, so the float rounding — and therefore every
-    downstream gradient — is bit-identical across paths;
-    ``slow_reference=True`` forces the loop for the equivalence tests.
+    indexed ``np.add.at`` scatter over the cached coordinate table
+    (:func:`_col2im_scatter`); larger ones take the blocked slice-add
+    loop (:func:`_col2im_slices`), which wins there. Both accumulate each
+    padded element's contributions in the same (kh, kw)-major order, so
+    the float rounding — and therefore every downstream gradient — is
+    bit-identical across the two.
     """
     n, c, h, w = x_shape
-    if slow_reference:
-        out_h = conv_out_size(h, kernel_h, stride, pad)
-        out_w = conv_out_size(w, kernel_w, stride, pad)
-    else:
-        out_h, out_w, _ = _coord_table(h, w, kernel_h, kernel_w, stride, pad)
+    out_h, out_w, _ = _coord_table(h, w, kernel_h, kernel_w, stride, pad)
+    if n * c * out_h * out_w <= _SCATTER_SLICE_LIMIT:
+        return _col2im_scatter(cols, x_shape, kernel_h, kernel_w, stride, pad)
+    return _col2im_slices(cols, x_shape, kernel_h, kernel_w, stride, pad)
 
-    slice_elems = n * c * out_h * out_w
-    if not slow_reference and slice_elems <= _SCATTER_SLICE_LIMIT:
-        flat = _coord_table(h, w, kernel_h, kernel_w, stride, pad, need_indices=True)[2]
-        plane = (h + 2 * pad) * (w + 2 * pad)
-        updates = (
-            cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
-            .transpose(0, 3, 4, 5, 1, 2)
-            .reshape(n * c, -1)
-        )
-        buf = np.zeros(n * c * plane, dtype=cols.dtype)
-        base = np.arange(n * c, dtype=np.int64)[:, None] * plane
-        np.add.at(buf, base + flat[None, :], updates)
-        padded = buf.reshape(n, c, h + 2 * pad, w + 2 * pad)
-    else:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-        patches = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 1, 2, 4, 5)
-        for kh in range(kernel_h):
-            h_end = kh + stride * out_h
-            for kw in range(kernel_w):
-                w_end = kw + stride * out_w
-                padded[:, :, kh:h_end:stride, kw:w_end:stride] += patches[:, :, :, :, kh, kw]
 
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+def _col2im_scatter(
+    cols: np.ndarray, x_shape: tuple, kernel_h: int, kernel_w: int, stride: int, pad: int
+) -> np.ndarray:
+    """:func:`col2im` as one ``np.add.at`` over the cached coordinate table."""
+    n, c, h, w = x_shape
+    out_h, out_w, flat = _coord_table(h, w, kernel_h, kernel_w, stride, pad, need_indices=True)
+    plane = (h + 2 * pad) * (w + 2 * pad)
+    updates = (
+        cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+        .transpose(0, 3, 4, 5, 1, 2)
+        .reshape(n * c, -1)
+    )
+    buf = np.zeros(n * c * plane, dtype=cols.dtype)
+    base = np.arange(n * c, dtype=np.int64)[:, None] * plane
+    np.add.at(buf, base + flat[None, :], updates)
+    return buf.reshape(n, c, h + 2 * pad, w + 2 * pad)[:, :, pad : pad + h, pad : pad + w]
+
+
+def _col2im_slices(
+    cols: np.ndarray, x_shape: tuple, kernel_h: int, kernel_w: int, stride: int, pad: int
+) -> np.ndarray:
+    """:func:`col2im` as one strided slice-add per kernel position."""
+    n, c, h, w = x_shape
+    out_h, out_w, _ = _coord_table(h, w, kernel_h, kernel_w, stride, pad)
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    patches = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(0, 3, 1, 2, 4, 5)
+    for kh in range(kernel_h):
+        h_end = kh + stride * out_h
+        for kw in range(kernel_w):
+            w_end = kw + stride * out_w
+            padded[:, :, kh:h_end:stride, kw:w_end:stride] += patches[:, :, :, :, kh, kw]
+    return padded[:, :, pad : pad + h, pad : pad + w]
 
 
 def conv2d(

@@ -129,7 +129,6 @@ def olaccel_conv2d(
     packed: PackedWeights = None,
     acc: Optional["AccumulatorModel"] = None,
     obs: Registry = NULL_REGISTRY,
-    slow_reference: bool = False,
 ) -> FunctionalResult:
     """Run a convolution through the OLAccel integer datapath.
 
@@ -142,11 +141,6 @@ def olaccel_conv2d(
     is bit-exact to per-MAC wraparound (modular addition commutes),
     ``saturate`` models clamping on write-back, and overflow events are
     counted on ``obs`` under ``acc/overflow``.
-
-    ``slow_reference=True`` routes the weight packing and the per-chunk
-    spill-flag matrix through the original scalar loops instead of the
-    vectorized table form; results are bit-identical either way
-    (tests/test_vectorized_equiv.py).
     """
     act_levels = np.asarray(act_levels, dtype=np.int64)
     weight_levels = np.asarray(weight_levels, dtype=np.int64)
@@ -157,7 +151,7 @@ def olaccel_conv2d(
 
     w_mat = weight_levels.reshape(out_c, -1)
     if packed is None:
-        packed = pack_weights(w_mat, slow_reference=slow_reference)
+        packed = pack_weights(w_mat)
     lsb, msb = split_weight_levels(w_mat)
     normal_acts, outlier_acts = split_activation_levels(act_levels, act_normal_max)
 
@@ -184,12 +178,7 @@ def olaccel_conv2d(
 
     # Per-(out-group, reduction index) spill flag from the packed table.
     multi = np.zeros((packed.n_groups, padded_red), dtype=bool)
-    if slow_reference:
-        for g in range(packed.n_groups):
-            for r in range(reduction):
-                multi[g, r] = packed.base_chunks[g * reduction + r].has_multi_outlier
-    else:
-        multi[:, :reduction] = packed.multi_outlier_mask.reshape(packed.n_groups, reduction)
+    multi[:, :reduction] = packed.multi_outlier_mask.reshape(packed.n_groups, reduction)
     multi_lanes = multi.reshape(packed.n_groups, n_in_chunks, LANES)
 
     # pass cost = nonzero broadcasts (+1 per spill-chunk broadcast) + zero quads

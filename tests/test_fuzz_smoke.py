@@ -2,8 +2,9 @@
 
 ``tools/fuzz_datapath.py`` stays the high-volume standalone entry point
 (CI runs it at 200 iterations); this test keeps a small deterministic
-sample of the same properties inside the tier-1 suite so a datapath
-or struck-word decode regression is caught by ``pytest`` alone.
+sample of the same properties inside the tier-1 suite so a datapath,
+struck-word decode or swarm-validation regression is caught by
+``pytest`` alone.
 
 Each iteration draws its case from an independent ``default_rng([SEED,
 i])`` stream and strikes its weight words with ``fault_seed=i``, so a

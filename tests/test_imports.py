@@ -8,6 +8,7 @@ on timings (docs/PERFORMANCE.md, "CLI start-up", has the budget).
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -150,6 +151,44 @@ def test_array_verbs_still_load_numpy(tmp_path, argv):
     assert "numpy" in loaded
 
 
+@pytest.mark.parametrize("argv", [["faults", "alexnet"], ["run", "fig11"]], ids=" ".join)
+def test_verbs_never_load_the_reference_twins(tmp_path, argv):
+    code, loaded, err = _main(*argv, "--seed", "0", "--json", str(tmp_path / "out.json"))
+    assert code == 0, err
+    assert "repro.reference" not in loaded
+
+
+def _imported_modules(path: Path, module: str) -> set:
+    """Absolute names of every module ``path`` (module ``module``) imports."""
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_bench_imports_the_reference_twins():
+    """The scalar twins are test support: of the modules under ``src``,
+    only ``repro bench`` (which times the fast paths against them)
+    imports ``repro.reference``."""
+    src = REPO / "src"
+    importers = set()
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        if "repro.reference" in _imported_modules(path, module):
+            importers.add(module)
+    assert importers == {"repro.harness.bench"}
+
+
 def test_package_exports_resolve():
     """Each ``__all__`` name resolves, ``import *`` binds all of them,
     and an unknown name still fails the normal way."""
@@ -197,9 +236,9 @@ def test_constants_have_one_home():
 
 
 #: Wraps the supervisor's worker entry so that each forked cell writes
-#: the ``repro.*`` modules it imported, and whether numpy was loaded, to
-#: ``<out>/<kind>-<pid>.json``; the runner writes whether it loaded numpy
-#: to ``<out>/main.json``.
+#: the ``repro.*`` modules it imported, and whether numpy and
+#: ``repro.reference`` were loaded, to ``<out>/<kind>-<pid>.json``; the
+#: runner writes the same two flags to ``<out>/main.json``.
 RECORD_CELLS = textwrap.dedent(
     """
     import json, os, sys
@@ -215,14 +254,15 @@ RECORD_CELLS = textwrap.dedent(
         finally:
             new = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
             with open(os.path.join(out, f"{kind}-{os.getpid()}.json"), "w") as f:
-                json.dump({"new": new, "numpy": "numpy" in sys.modules}, f)
+                flags = {"numpy": "numpy" in sys.modules, "reference": "repro.reference" in sys.modules}
+                json.dump({"new": new, **flags}, f)
 
     resilience._cell_worker = recording
     from repro.cli import main
 
     code = main(argv)
     with open(os.path.join(out, "main.json"), "w") as f:
-        json.dump({"numpy": "numpy" in sys.modules}, f)
+        json.dump({"numpy": "numpy" in sys.modules, "reference": "repro.reference" in sys.modules}, f)
     sys.exit(code)
     """
 )
@@ -246,6 +286,7 @@ def test_forked_cells_import_nothing_new(tmp_path, argv, cells, numpy):
     )
     assert proc.returncode == 0, proc.stderr
     reports = {path.name: json.loads(path.read_text()) for path in out.iterdir()}
-    assert reports.pop("main.json") == {"numpy": numpy}
+    assert reports.pop("main.json") == {"numpy": numpy, "reference": False}
     assert len(reports) == cells
-    assert all(report == {"new": [], "numpy": numpy} for report in reports.values()), reports
+    clean = {"new": [], "numpy": numpy, "reference": False}
+    assert all(report == clean for report in reports.values()), reports

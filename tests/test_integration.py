@@ -4,7 +4,7 @@ quantization, chunk packing, bit-exact execution, and simulation."""
 import numpy as np
 import pytest
 
-from repro.arch import encode_table, decode_table, pack_weights
+from repro.arch import pack_weights
 from repro.baselines import EyerissSimulator, ZenaSimulator
 from repro.harness import from_quantized_model
 from repro.nn import prune_model
@@ -22,6 +22,7 @@ from repro.quant import (
     quantize_activations,
     quantize_weights,
 )
+from repro.reference import decode_table, encode_table, packed_from_chunks
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +87,7 @@ class TestFullPipeline:
         packed = pack_weights(w_levels)
         base_words, spill_words = encode_table(packed.base_chunks, packed.spill_chunks)
         bases, spills = decode_table(base_words, spill_words)
-        packed.base_chunks, packed.spill_chunks = bases, spills
+        packed = packed_from_chunks(bases, spills, packed.n_groups, packed.reduction, packed.out_channels)
 
         act_tensor = aq.levels[None]
         result = olaccel_conv2d(act_tensor, wq.levels, stride=conv.stride, pad=conv.pad, packed=packed)

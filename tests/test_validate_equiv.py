@@ -1,4 +1,4 @@
-"""``validate_packed`` against the per-chunk reference audit.
+"""``validate_packed`` and ``validate_swarm`` against per-item reference audits.
 
 ``validate_packed`` audits a packed weight table as whole-array checks
 on its :class:`WeightTables` form. This file keeps the per-chunk loop it
@@ -9,6 +9,11 @@ lanes, ``ol_idx`` and ``ol_msb``, dangling and duplicate pointers, and
 spill lanes past the 4-bit MSB field. Under every policy the counter
 snapshots must match; ``degrade``/``skip`` must return the same chunks
 and ``raise`` must name the same chunk and field.
+
+``validate_swarm`` audits the ``(n, 4)`` swarm outlier table as masked
+array checks; :func:`repro.reference.validate_swarm_scalar` is its
+per-entry loop, and the two must agree the same way on random tables
+with coordinates and values on both sides of every bound.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from repro.arch.chunks import LANES, WeightChunk
 from repro.arch.packing import PackedWeights, normal_max_level
 from repro.constants import RECOVERY_POLICIES
 from repro.errors import ChunkIntegrityError
-from repro.faults import validate_packed
+from repro.faults import validate_packed, validate_swarm
 from repro.obs import NULL_REGISTRY, Registry
+from repro.reference import chunk_form, packed_from_chunks, unpack_chunks, validate_swarm_scalar
 
 _ZERO_LANES = tuple([0] * LANES)
 
@@ -109,7 +115,7 @@ def validate_packed_reference(packed: PackedWeights, policy: str, obs=NULL_REGIS
 
     if not dirty:
         return packed
-    return PackedWeights(base, spill, packed.n_groups, packed.reduction, packed.out_channels)
+    return packed_from_chunks(base, spill, packed.n_groups, packed.reduction, packed.out_channels)
 
 
 # ---------------------------------------------------------------- strategies
@@ -153,16 +159,8 @@ def tables(draw):
     return base, spill, n_groups, reduction
 
 
-def _both_forms(base, spill, n_groups, reduction):
-    """The same table as a chunk-backed and as a table-backed PackedWeights."""
-    chunked = PackedWeights(base, spill, n_groups, reduction, n_groups * LANES)
-    tabled = PackedWeights(
-        tables=chunked.tables,
-        n_groups=n_groups,
-        reduction=reduction,
-        out_channels=n_groups * LANES,
-    )
-    return chunked, tabled
+def _packed(base, spill, n_groups, reduction):
+    return packed_from_chunks(base, spill, n_groups, reduction, n_groups * LANES)
 
 
 def _run(validate, packed, policy):
@@ -175,9 +173,9 @@ def _run(validate, packed, policy):
 
 def _assert_agree(base, spill, n_groups, reduction):
     for policy in RECOVERY_POLICIES:
-        chunked, tabled = _both_forms(base, spill, n_groups, reduction)
-        want, want_exc, want_counters = _run(validate_packed_reference, chunked, policy)
-        got, got_exc, got_counters = _run(validate_packed, tabled, policy)
+        packed = _packed(base, spill, n_groups, reduction)
+        want, want_exc, want_counters = _run(validate_packed_reference, packed, policy)
+        got, got_exc, got_counters = _run(validate_packed, packed, policy)
         assert got_counters == want_counters, policy
         if want_exc is not None:
             assert got_exc is not None, policy
@@ -186,12 +184,12 @@ def _assert_agree(base, spill, n_groups, reduction):
                 assert getattr(got_exc, attr) == getattr(want_exc, attr), attr
             continue
         assert got_exc is None, policy
-        assert (got is tabled) == (want is chunked), policy
+        assert (got is packed) == (want is packed), policy
         assert got.base_chunks == want.base_chunks, policy
         assert got.spill_chunks == want.spill_chunks, policy
         assert got.single_outlier_chunks == want.single_outlier_chunks
         assert got.multi_outlier_chunks == want.multi_outlier_chunks
-        np.testing.assert_array_equal(got.unpack(), want.unpack(slow_reference=True))
+        np.testing.assert_array_equal(got.unpack(), unpack_chunks(*chunk_form(want)))
 
 
 # ---------------------------------------------------------------- properties
@@ -238,8 +236,63 @@ def test_duplicate_after_lanes_only_claimant(policy):
     claimant is the duplicate; ``skip`` drops it, so the second claimant
     owns the spill chunk."""
     base = [WeightChunk(lanes=_LANES_BAD, ol_ptr=0), WeightChunk(lanes=_CLEAN, ol_ptr=0)]
-    _, tabled = _both_forms(base, [_spill(2, 3)], 1, 2)
     obs = Registry()
-    repaired = validate_packed(tabled, policy=policy, obs=obs)
+    repaired = validate_packed(_packed(base, [_spill(2, 3)], 1, 2), policy=policy, obs=obs)
     assert obs.snapshot()["faults/detected"] == (2 if policy == "degrade" else 1)
     assert repaired.tables.ol_ptr.tolist() == ([0, -1] if policy == "degrade" else [-1, 0])
+
+
+# ---------------------------------------------------------------- swarm
+
+
+@st.composite
+def swarm_tables(draw):
+    """A (C, H, W) extent, a threshold and a swarm table around them."""
+    c, h, w = draw(st.integers(1, 20)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    normal_max = draw(st.sampled_from((7, 15)))
+    padded_c = -(-c // LANES) * LANES
+    value = st.one_of(
+        st.integers(normal_max + 1, 0xFFFF),
+        st.integers(normal_max + 1, 0xFFFF),
+        st.integers(-3, normal_max),
+        st.integers(0xFFFF + 1, 0xFFFF + 3),
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-1, padded_c), st.integers(-1, h), st.integers(-1, w), value
+            ),
+            max_size=12,
+        )
+    )
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    return table, (c, h, w), normal_max
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(swarm_tables())
+@example((np.zeros((0, 4), dtype=np.int64), (3, 2, 2), 15))
+@example((np.array([[15, 1, 1, 16], [16, 0, 0, 16], [0, 2, 0, 99], [0, 0, 0, 15]]), (3, 2, 2), 15))
+def test_validate_swarm_matches_entry_reference(case):
+    table, shape, normal_max = case
+    for policy in RECOVERY_POLICIES:
+        results = []
+        for validate in (validate_swarm_scalar, validate_swarm):
+            obs = Registry()
+            try:
+                kept = validate(table, shape, policy=policy, obs=obs, normal_max=normal_max)
+                results.append((kept, None, obs.snapshot()))
+            except ChunkIntegrityError as exc:
+                results.append((None, exc, obs.snapshot()))
+        (want, want_exc, want_counters), (got, got_exc, got_counters) = results
+        assert got_counters == want_counters, policy
+        if want_exc is not None:
+            assert got_exc is not None, policy
+            assert str(got_exc) == str(want_exc)
+            assert got_exc.chunk_index == want_exc.chunk_index
+            assert got_exc.field == want_exc.field
+            continue
+        assert got_exc is None, policy
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == want.shape
+        assert (got is table) == (not want_counters), policy

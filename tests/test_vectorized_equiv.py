@@ -1,21 +1,34 @@
-"""Bit-exact equivalence of the vectorized hot paths vs their
-``slow_reference`` scalar twins, across randomized shapes and densities,
+"""Bit-exact equivalence of the vectorized hot paths vs their scalar
+twins in :mod:`repro.reference`, across randomized shapes and densities,
 including the fault-injection interplay (rate 0 and rate > 0)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch.act_packing import pack_activations, unpack_activations
-from repro.arch.bitcodec import decode_packed, decode_table, encode_packed, encode_table
+from repro.arch.act_packing import PackedActivations, pack_activations, unpack_activations
+from repro.arch.bitcodec import decode_packed, encode_packed
 from repro.arch.chunks import WEIGHT_CHUNK_BITS, WeightChunk
-from repro.arch.packing import PackedWeights, pack_weights
+from repro.arch.packing import PackedWeights, WeightTables, pack_weights
 from repro.errors import ChunkIntegrityError
-from repro.faults import FaultPlan
+from repro.faults import FAULT_MODELS, FaultPlan, validate_packed
 from repro.faults.datapath import corrupt_packed_weights, faulty_olaccel_conv2d
 from repro.obs import Registry
 from repro.olaccel.functional import olaccel_conv2d
+from repro.reference import (
+    batch_pass_cycles_scalar,
+    chunk_form,
+    decode_table,
+    encode_table,
+    pack_activations_scalar,
+    pack_weights_scalar,
+    packed_from_chunks,
+    unpack_activations_scalar,
+    unpack_chunks,
+)
 
 
 def _random_levels(rng, out_c, reduction, density):
@@ -44,7 +57,7 @@ def test_pack_weights_chunks_bit_exact():
     for rng, out_c, reduction, density in _random_shapes(101, 25):
         levels = _random_levels(rng, out_c, reduction, density)
         fast = pack_weights(levels)
-        slow = pack_weights(levels, slow_reference=True)
+        slow = pack_weights_scalar(levels)
         assert fast.base_chunks == slow.base_chunks
         assert fast.spill_chunks == slow.spill_chunks
         assert fast == slow
@@ -57,18 +70,18 @@ def test_unpack_round_trips_both_paths():
     for rng, out_c, reduction, density in _random_shapes(202, 25):
         levels = _random_levels(rng, out_c, reduction, density)
         fast = pack_weights(levels)
-        slow = pack_weights(levels, slow_reference=True)
+        slow = pack_weights_scalar(levels)
         assert np.array_equal(fast.unpack(), levels)
-        assert np.array_equal(fast.unpack(slow_reference=True), levels)
+        assert np.array_equal(unpack_chunks(*chunk_form(fast)), levels)
         assert np.array_equal(slow.unpack(), levels)
-        assert np.array_equal(slow.unpack(slow_reference=True), levels)
+        assert np.array_equal(unpack_chunks(*chunk_form(slow)), levels)
 
 
 def test_pack_weights_extreme_levels():
     # every boundary level, including the sign-in-nibble -8/-127 cases
     levels = np.array([[-127, -8, -7, -1, 0, 1, 7, 8, 127, 64, -64, 15, -15, 56, -56, 120]])
     fast = pack_weights(levels.T @ np.ones((1, 3), dtype=np.int64))
-    slow = pack_weights(levels.T @ np.ones((1, 3), dtype=np.int64), slow_reference=True)
+    slow = pack_weights_scalar(levels.T @ np.ones((1, 3), dtype=np.int64))
     assert fast.base_chunks == slow.base_chunks
     assert fast.spill_chunks == slow.spill_chunks
 
@@ -76,7 +89,7 @@ def test_pack_weights_extreme_levels():
 def test_empty_reduction_matrix():
     levels = np.zeros((5, 0), dtype=np.int64)
     fast = pack_weights(levels)
-    slow = pack_weights(levels, slow_reference=True)
+    slow = pack_weights_scalar(levels)
     assert fast.base_chunks == slow.base_chunks == []
     assert fast.unpack().shape == (5, 0)
 
@@ -98,27 +111,80 @@ def test_outlier_counts_cached_on_construction():
     assert packed.multi_outlier_chunks == multi
 
 
-def test_outlier_counts_recomputed_on_setter():
-    levels = _random_levels(np.random.default_rng(4), 32, 10, 0.3)
-    packed = pack_weights(levels)
+def test_outlier_counts_of_reference_built_tables():
     plain = [WeightChunk(lanes=(1,) * 16) for _ in range(4)]
     single_chunk = WeightChunk(lanes=(0,) * 16, ol_idx=2, ol_msb=-3)
-    packed.base_chunks = plain + [single_chunk]
+    packed = packed_from_chunks(plain + [single_chunk], [], 1, 5, 16)
     assert packed.single_outlier_chunks == 1
     assert packed.multi_outlier_chunks == 0
-    packed.spill_chunks = []
     assert packed.n_spill == 0
 
-
-def test_chunk_list_assignment_preserves_other_half():
-    # assigning base_chunks on a table-backed object must not lose spills
     levels = _random_levels(np.random.default_rng(5), 32, 12, 0.4)
-    packed = pack_weights(levels)  # table-backed, chunks not materialized
-    n_spill = packed.n_spill
+    packed = packed_from_chunks(*chunk_form(pack_weights_scalar(levels)))
+    n_spill = pack_weights(levels).n_spill
     assert n_spill > 0
-    packed.base_chunks = pack_weights(levels, slow_reference=True).base_chunks
     assert len(packed.spill_chunks) == n_spill
-    assert np.array_equal(packed.unpack(slow_reference=True), levels)
+    assert np.array_equal(unpack_chunks(*chunk_form(packed)), levels)
+
+
+def _chunk_equal(a: PackedWeights, b: PackedWeights) -> bool:
+    """Equality as the chunk lists define it."""
+    return (
+        (a.n_groups, a.reduction, a.out_channels) == (b.n_groups, b.reduction, b.out_channels)
+        and a.base_chunks == b.base_chunks
+        and a.spill_chunks == b.spill_chunks
+    )
+
+
+def _with_dropped_metadata(packed: PackedWeights, rng) -> PackedWeights:
+    """The same chunk view from a raw table that keeps what the view drops:
+    ``ol_idx``/``ol_msb`` on spilled rows, ``ol_idx`` next to a zero
+    ``ol_msb``, and negative pointers other than -1."""
+    t = packed.tables
+    multi = t.ol_ptr >= 0
+    single = ~multi & (t.ol_msb != 0)
+    noise = rng.integers(-5, 16, size=t.ol_idx.shape)
+    tables = WeightTables(
+        lanes=t.lanes,
+        ol_idx=np.where(single, t.ol_idx, noise),
+        ol_msb=np.where(multi, noise, t.ol_msb),
+        ol_ptr=np.where(multi, t.ol_ptr, rng.integers(-4, 0, size=t.ol_ptr.shape)),
+        spill_lanes=t.spill_lanes,
+    )
+    return PackedWeights(tables, packed.n_groups, packed.reduction, packed.out_channels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    out_c=st.integers(1, 40),
+    reduction=st.integers(1, 12),
+    density=st.sampled_from((0.0, 0.05, 0.3)),
+    rate=st.sampled_from((0.0, 0.02, 0.2)),
+    model=st.sampled_from(FAULT_MODELS),
+)
+def test_table_equality_matches_chunk_equality(seed, out_c, reduction, density, rate, model):
+    rng = np.random.default_rng(seed)
+    packed = pack_weights(_random_levels(rng, out_c, reduction, density))
+    shape = dict(n_groups=packed.n_groups, reduction=packed.reduction, out_channels=packed.out_channels)
+    plan = FaultPlan(rate=rate, seed=seed, model=model)
+    base_words, spill_words = encode_packed(packed)
+    base_words, _ = plan.corrupt_words(base_words, WEIGHT_CHUNK_BITS, surface="weight_chunks")
+    spill_words, _ = plan.corrupt_words(spill_words, WEIGHT_CHUNK_BITS, surface="weight_chunks")
+    decoded = decode_packed(base_words, spill_words, strict=False, **shape)
+    candidates = [
+        packed,
+        decoded,
+        validate_packed(decoded, policy="degrade"),
+        validate_packed(decoded, policy="skip"),
+        _with_dropped_metadata(packed, rng),
+        _with_dropped_metadata(decoded, rng),
+        PackedWeights(packed.tables, packed.n_groups, packed.reduction, packed.out_channels + 1),
+    ]
+    for a in candidates:
+        for b in candidates:
+            assert (a == b) == _chunk_equal(a, b)
+    assert candidates[4] == packed
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +273,17 @@ def test_pack_activations_fast_matches_slow():
         outliers = rng.random(size=levels.shape) < 0.1
         levels = np.where(outliers, rng.integers(16, 300, size=levels.shape), levels).astype(np.int64)
         fast = pack_activations(levels)
-        slow = pack_activations(levels, slow_reference=True)
+        slow = pack_activations_scalar(levels)
         assert np.array_equal(fast.dense, slow.dense)
         assert fast.outliers == slow.outliers
         assert np.array_equal(unpack_activations(fast), levels)
-        assert np.array_equal(unpack_activations(fast, slow_reference=True), levels)
+        assert np.array_equal(unpack_activations_scalar(fast.dense, fast.shape, fast.outliers), levels)
         assert np.array_equal(unpack_activations(slow), levels)
 
 
 def test_pack_activations_lazy_table_and_counts():
-    # the fast packer must report FIFO counts and footprint straight
-    # from the coordinate table, materializing entry objects only on
-    # first .outliers access
+    # the packer reports FIFO counts and footprint straight from the
+    # coordinate table, its only FIFO form; .outliers is a view of it
     from repro.arch.act_packing import OUTLIER_ENTRY_BITS
 
     rng = np.random.default_rng(616)
@@ -227,14 +292,14 @@ def test_pack_activations_lazy_table_and_counts():
     levels = np.where(mask, rng.integers(16, 200, size=levels.shape), levels).astype(np.int64)
 
     fast = pack_activations(levels)
-    assert fast._outliers is None
-    slow = pack_activations(levels, slow_reference=True)
+    assert set(vars(fast)) == {"dense", "shape", "outlier_table"}
+    slow = pack_activations_scalar(levels)
     assert fast.n_outliers == len(slow.outliers)
     assert fast.outlier_bits == len(slow.outliers) * OUTLIER_ENTRY_BITS
     assert fast.total_bits == slow.total_bits
-    assert fast._outliers is None  # counts/footprint did not materialize
-    assert fast.outliers == slow.outliers  # first access materializes
-    assert fast._outliers is not None
+    assert set(vars(fast)) == {"dense", "shape", "outlier_table"}  # no entry list kept
+    assert fast.outliers == slow.outliers
+    assert fast.outliers is not fast.outliers  # a view, built on each access
 
 
 def test_pack_activations_extremes_and_padding():
@@ -247,7 +312,7 @@ def test_pack_activations_extremes_and_padding():
     ]
     for levels, normal_max in cases:
         fast = pack_activations(levels, normal_max=normal_max)
-        slow = pack_activations(levels, normal_max=normal_max, slow_reference=True)
+        slow = pack_activations_scalar(levels, normal_max=normal_max)
         assert np.array_equal(fast.dense, slow.dense)
         assert fast.outliers == slow.outliers
         assert fast == slow
@@ -255,11 +320,9 @@ def test_pack_activations_extremes_and_padding():
 
 
 def test_activation_fault_strikes_identical_across_packing_paths():
-    # FaultPlan's rng is stateless per (seed, surface): the fast packer's
-    # coordinate table and the scalar packer's FIFO carry the same values
-    # in the same order, so the swarm-value strikes degrade identically.
-    from dataclasses import replace as dc_replace
-
+    # FaultPlan's rng is stateless per (seed, surface): the fast and the
+    # scalar packer's outlier tables carry the same values in the same
+    # order, so the swarm-value strikes degrade identically.
     rng = np.random.default_rng(515)
     levels = rng.integers(0, 16, size=(24, 5, 5))
     mask = rng.random(size=levels.shape) < 0.2
@@ -267,15 +330,12 @@ def test_activation_fault_strikes_identical_across_packing_paths():
     plan = FaultPlan(rate=2e-2, seed=17)
 
     results = []
-    for slow in (False, True):
-        packed = pack_activations(levels, slow_reference=slow)
+    for packer in (pack_activations, pack_activations_scalar):
+        packed = packer(levels)
         dense, _ = plan.corrupt_levels(packed.dense, 4, surface="activations")
-        values = packed._coord_table()[:, 3]
-        struck_values, _ = plan.corrupt_levels(values, 16, surface="outliers")
-        entries = [
-            dc_replace(e, value=int(v)) for e, v in zip(packed.outliers, struck_values)
-        ]
-        results.append(unpack_activations(packed.replace_streams(dense=dense, outliers=entries)))
+        table = packed.outlier_table.copy()
+        table[:, 3], _ = plan.corrupt_levels(table[:, 3], 16, surface="outliers")
+        results.append(unpack_activations(PackedActivations(dense, packed.shape, table)))
     assert np.array_equal(results[0], results[1])
     assert not np.array_equal(results[0], levels)  # the strikes landed
 
@@ -290,7 +350,7 @@ def test_olaccel_conv2d_fast_matches_slow():
     acts = rng.integers(0, 30, size=(1, 8, 7, 7)).astype(np.int64)
     weights = _random_levels(rng, 24, 8 * 9, 0.1).reshape(24, 8, 3, 3)
     fast = olaccel_conv2d(acts, weights, pad=1)
-    slow = olaccel_conv2d(acts, weights, pad=1, slow_reference=True)
+    slow = olaccel_conv2d(acts, weights, pad=1, packed=pack_weights_scalar(weights.reshape(24, -1)))
     assert np.array_equal(fast.psum, slow.psum)
     assert fast.cycles == slow.cycles
     assert np.array_equal(fast.pass_cycles, slow.pass_cycles)
@@ -306,11 +366,10 @@ def test_faults_rate_zero_identity_both_paths():
     rng = np.random.default_rng(808)
     levels = _random_levels(rng, 32, 18, 0.05)
     plan = FaultPlan(rate=0.0, seed=9)
-    for slow in (False, True):
-        packed = pack_weights(levels, slow_reference=slow)
-        rebuilt = corrupt_packed_weights(packed, plan)
+    for packer in (pack_weights, pack_weights_scalar):
+        rebuilt = corrupt_packed_weights(packer(levels), plan)
         assert np.array_equal(rebuilt.unpack(), levels)
-        assert np.array_equal(rebuilt.unpack(slow_reference=True), levels)
+        assert np.array_equal(unpack_chunks(*chunk_form(rebuilt)), levels)
 
 
 def test_faults_nonzero_rate_identical_across_packing_paths():
@@ -322,9 +381,9 @@ def test_faults_nonzero_rate_identical_across_packing_paths():
     plan = FaultPlan(rate=5e-3, seed=31)
 
     results = []
-    for slow in (False, True):
+    for packer in (pack_weights, pack_weights_scalar):
         obs = Registry()
-        packed = pack_weights(levels, slow_reference=slow)
+        packed = packer(levels)
         rebuilt = corrupt_packed_weights(packed, plan, policy="degrade", obs=obs)
         counters = obs.snapshot()
         results.append((rebuilt.unpack(), counters))
@@ -506,14 +565,12 @@ def test_batch_pass_cycles_fast_matches_slow():
         levels[rng.random(levels.shape) < float(rng.uniform(0.1, 0.9))] = 0
         spills = rng.random(levels.shape) < float(rng.uniform(0.0, 0.5))
         fast = batch_pass_cycles(levels, spills)
-        slow = batch_pass_cycles(levels, spills, slow_reference=True)
+        slow = batch_pass_cycles_scalar(levels, spills)
         assert np.array_equal(fast, slow)
         assert fast.dtype == slow.dtype == np.int64
     # spill_flags defaults to no spills on both paths
     levels = rng.integers(0, 16, size=(8, 16))
-    assert np.array_equal(
-        batch_pass_cycles(levels), batch_pass_cycles(levels, slow_reference=True)
-    )
+    assert np.array_equal(batch_pass_cycles(levels), batch_pass_cycles_scalar(levels))
     with pytest.raises(ValueError):
         batch_pass_cycles(levels, np.zeros((8, 4), dtype=bool))
 
@@ -543,6 +600,8 @@ def test_pass_op_counts_sum_is_micro_schedule_length():
 
 
 def test_col2im_fast_matches_slow_both_branches():
+    # col2im picks a branch by slice size; each helper also runs on
+    # every case, so both are compared on both sides of the limit
     from repro.nn import functional as F
 
     rng = np.random.default_rng(515)
@@ -563,9 +622,11 @@ def test_col2im_fast_matches_slow_both_branches():
         for dtype in (np.float64, np.float32):
             cols = rng.standard_normal((n * out_h * out_w, c * k * k)).astype(dtype)
             fast = F.col2im(cols, (n, c, h, w), k, k, s, p)
-            slow = F.col2im(cols, (n, c, h, w), k, k, s, p, slow_reference=True)
-            assert fast.dtype == slow.dtype
+            scatter = F._col2im_scatter(cols, (n, c, h, w), k, k, s, p)
+            slow = F._col2im_slices(cols, (n, c, h, w), k, k, s, p)
+            assert fast.dtype == scatter.dtype == slow.dtype
             assert np.array_equal(fast, slow), (n, c, h, w, k, s, p, dtype)
+            assert np.array_equal(scatter, slow), (n, c, h, w, k, s, p, dtype)
 
 
 def test_col2im_is_adjoint_of_im2col_unpadded():
@@ -586,12 +647,13 @@ def test_conv2d_backward_gradients_unchanged_by_fast_path():
     y, cache = F.conv2d(x, w, stride=1, pad=1, train=True)
     dy = rng.standard_normal(y.shape)
     dx, dw, db = F.conv2d_backward(dy, cache)
-    # reference dx through the slow col2im on the same dcols
+    # reference dx through each col2im helper on the same dcols
     x_shape, cols, weight, stride, pad = cache
     dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, 4)
     dcols = dy_mat @ weight.reshape(4, -1)
-    dx_ref = F.col2im(dcols, x_shape, 3, 3, stride, pad, slow_reference=True)
+    dx_ref = F._col2im_slices(dcols, x_shape, 3, 3, stride, pad)
     assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(dx, F._col2im_scatter(dcols, x_shape, 3, 3, stride, pad))
 
 
 def test_coord_table_lru_bounded_and_evicts_oldest():
