@@ -3,9 +3,9 @@
 Times the simulator's hot paths — chunk packing, the 80-bit bit codec,
 activation packing, OAQ quantization, the analytic per-layer/network
 simulators, and an end-to-end functional AlexNet-style conv stack — and,
-wherever a vectorized path has a scalar twin in :mod:`repro.reference`
-(or, for the cluster sim, its ``slow_reference`` stepper), times both and
-reports the speedup; the slow timers keep the ``/slow_reference`` name.
+wherever a vectorized path has a scalar twin in :mod:`repro.reference`,
+times both and reports the speedup; the slow timers keep the
+``/slow_reference`` name.
 The result serializes through the standard ``repro.experiment/v1`` envelope into a versioned ``BENCH_<date>.json``,
 so the performance trajectory is recorded next to the accuracy numbers
 (docs/PERFORMANCE.md explains how to read it).
@@ -314,8 +314,8 @@ def run_benchmarks(smoke: bool = False, seed: Optional[int] = None) -> BenchResu
     paired(
         "event_sim_cluster",
         lambda: ClusterSim(n_groups=6).run(ev_passes, outlier_broadcasts=ev_outliers),
-        lambda: ClusterSim(n_groups=6).run(
-            ev_passes, outlier_broadcasts=ev_outliers, slow_reference=True
+        lambda: reference.cluster_run_scalar(
+            ClusterSim(n_groups=6), ev_passes, outlier_broadcasts=ev_outliers
         ),
         fast_reps=3 if smoke else 5,
         slow_reps=2,

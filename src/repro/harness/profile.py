@@ -8,11 +8,13 @@ Profiles two distinct clocks for every accelerator in the comparison:
 - **wall-clock time**: how long *our simulator* took to produce those
   numbers, from ``repro.obs`` timers — the number a perf PR must move.
 
-A micro-trace section runs the cycle-stepped event simulator
-(:class:`~repro.olaccel.event_sim.ClusterSim`) on passes synthesized
-from the first sparse conv layer's measured density/outlier statistics
-and reports the micro-op histogram (skip/bcast/stall) plus queue
-pressure, exercising the tracing hooks end-to-end.
+A micro-trace section runs the cluster event simulator
+(:class:`~repro.olaccel.event_sim.ClusterSim`) with a registry attached
+on passes synthesized from the first sparse conv layer's measured
+density/outlier statistics, and reports the micro-op counts
+(skip/bcast/stall) plus the queue-depth histogram's mean and maximum.
+The registry observes the same vectorized run an unobserved simulator
+computes, so the profile times production code.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def profile_network(
 
 
 def _event_micro_trace(workload, n_passes: int, seed: int) -> Dict[str, Any]:
-    """Cycle-step synthesized passes matching a real layer's statistics."""
+    """Simulate synthesized passes matching a real layer's statistics."""
     sparse = [layer for layer in workload.layers if not layer.is_first]
     if not sparse or n_passes <= 0:
         return {}

@@ -7,7 +7,7 @@ Three pieces:
   under ``a/b/c`` paths by nested :meth:`Registry.scope` blocks, with a
   shared no-op fast path when disabled;
 - :mod:`repro.obs.trace` — bounded, timestamped event traces
-  (:class:`Tracer`) for the cycle-stepped event simulator;
+  (:class:`Tracer`) for the cycle-exact event simulator;
 - JSON-ready export via ``Registry.to_dict()`` / ``Tracer.to_dicts()``,
   consumed by ``repro profile`` and the ``--json`` CLI flags.
 

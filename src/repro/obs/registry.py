@@ -68,11 +68,12 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (exactly so for integer values)."""
         bucket = int(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.count += 1
-        self.total += value
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + count
+        self.count += count
+        self.total += value * count
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
@@ -120,7 +121,7 @@ class _NullCounter:
 class _NullHistogram:
     __slots__ = ()
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, count: int = 1) -> None:
         pass
 
 

@@ -1,4 +1,4 @@
-"""Ordered event traces for the cycle-stepped simulators.
+"""Ordered event traces for the cycle-level simulators.
 
 Counters (``repro.obs.registry``) answer "how many"; traces answer
 "when". A :class:`Tracer` collects timestamped :class:`TraceEvent`

@@ -11,7 +11,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ClusterSim",
             "PassDescriptor",
             "PassMatrix",
-            "PEGroupSim",
             "passes_from_levels",
         ),
         ".mapper": ("LayerProgram", "ModelProgram", "compile_model"),

@@ -1,8 +1,8 @@
-"""Cycle-stepped microarchitectural simulation of one PE cluster.
+"""Microarchitectural simulation of one PE cluster, exact to the cycle.
 
 The analytic model in :mod:`repro.olaccel.accelerator` aggregates expected
-pass costs; this module instead *steps the hardware cycle by cycle* for
-small layers, faithfully modelling:
+pass costs; this module instead follows every pass of a small batch
+through the hardware, modelling exactly:
 
 - the PE-group front end: quad-at-a-time zero scanning (one cycle per
   all-zero quad), one broadcast cycle per nonzero activation, a stall
@@ -16,28 +16,25 @@ small layers, faithfully modelling:
   tri-buffer (Fig. 10) — results queue up when the units are saturated.
 
 It exists to *cross-validate* the fast analytic model: tests drive both on
-identical workloads and require agreement, and
-:func:`simulate_layer_exact` runs real quantized tensors through it.
+identical workloads and require agreement.
 
-Two execution paths produce bit-identical :class:`ClusterResult`\\ s
-(docs/PERFORMANCE.md):
-
-- the **scalar stepper** (``slow_reference=True``, or automatically
-  whenever an observability registry or tracer is attached, since those
-  need per-cycle histograms/events) walks every cycle of every group;
-- the **vectorized fast path** batches the whole run with numpy: the
-  per-pass micro-op schedule (quad zero-scan / broadcast / spill-stall)
-  collapses to three counted terms per pass, greedy queue dispatch
-  replays as a (next-free-cycle, group-index) heap, and the
-  accumulation backlog follows the Lindley recursion
-  ``Q_c = max(0, Q_{c-1} + arrivals_c - bandwidth)`` evaluated with a
-  cumulative-sum/running-minimum identity instead of a cycle loop.
+:meth:`ClusterSim.run` computes a run in a few array passes rather than
+a cycle loop: the per-pass micro-op schedule (quad zero-scan / broadcast
+/ spill-stall) collapses to three counted terms per pass, greedy queue
+dispatch replays as a (next-free-cycle, group-index) heap, and the
+accumulation backlog follows the Lindley recursion
+``Q_c = max(0, Q_{c-1} + arrivals_c - bandwidth)`` evaluated with a
+cumulative-sum/running-minimum identity. An attached registry or tracer
+observes that same computation: the per-cycle histograms and per-pass
+trace events are read off its arrays. The cycle-by-cycle stepper it is
+held to, bit for bit, is :func:`repro.reference.cluster_run_scalar`
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,12 +43,10 @@ from ..arch.chunks import LANES
 from ..errors import ChunkIntegrityError, ConfigError
 from ..obs import NULL_REGISTRY, NULL_TRACER, Registry, Tracer
 from .pe_group import pass_op_counts
-from .tribuffer import TriBuffer
 
 __all__ = [
     "PassDescriptor",
     "PassMatrix",
-    "PEGroupSim",
     "ClusterSim",
     "ClusterResult",
     "passes_from_levels",
@@ -79,10 +74,10 @@ class PassMatrix(Sequence):
     """A pass batch held as flat arrays, materializing descriptors lazily.
 
     :func:`passes_from_levels` returns this instead of a descriptor list:
-    the vectorized :meth:`ClusterSim.run` path consumes ``acts`` /
-    ``spill`` directly (no per-pass Python objects), while scalar
-    consumers — the stepper, tracer/obs fallback, or anything indexing
-    the sequence — get real :class:`PassDescriptor` objects on demand.
+    :meth:`ClusterSim.run` consumes ``acts`` / ``spill`` directly (no
+    per-pass Python objects), while scalar consumers — the reference
+    stepper, or anything indexing the sequence — get real
+    :class:`PassDescriptor` objects on demand.
     """
 
     def __init__(self, acts: np.ndarray, spill: np.ndarray):
@@ -102,85 +97,9 @@ class PassMatrix(Sequence):
         )
 
 
-#: Micro-operations a PE group front end executes, one per cycle.
-_OP_SKIP = "skip"  # an all-zero quad scanned away
-_OP_BCAST = "bcast"  # a nonzero activation broadcast to the 17 MACs
-_OP_STALL = "stall"  # second cycle of a spilled (multi-outlier) chunk
-
-
-def _micro_schedule(work: PassDescriptor) -> List[str]:
-    """Expand one pass into its exact per-cycle micro-op sequence.
-
-    The front end scans activations a quad at a time: an all-zero quad
-    costs one skip cycle; each nonzero lane costs a broadcast cycle, plus
-    a stall cycle when its weight chunk spills (Fig. 8). Zero lanes inside
-    a quad that also has nonzeros are free — the quad's nonzero mask is
-    known the cycle it is read.
-    """
-    ops: List[str] = []
-    for quad in range(LANES // 4):
-        lanes = range(quad * 4, quad * 4 + 4)
-        nonzero = [lane for lane in lanes if work.activations[lane] != 0]
-        if not nonzero:
-            ops.append(_OP_SKIP)
-            continue
-        for lane in nonzero:
-            ops.append(_OP_BCAST)
-            if work.spill[lane]:
-                ops.append(_OP_STALL)
-    return ops
-
-
-class PEGroupSim:
-    """One PE group's front end as a cycle-stepped state machine."""
-
-    def __init__(self) -> None:
-        self._ops: List[str] = []
-        self._pos = 0
-        self.busy_cycles = 0
-        self.skip_cycles = 0
-        self.run_cycles = 0
-        #: micro-op split of ``run_cycles`` (broadcast vs spill stall)
-        self.bcast_cycles = 0
-        self.stall_cycles = 0
-        self.completed_passes = 0
-
-    @property
-    def idle(self) -> bool:
-        return self._pos >= len(self._ops)
-
-    def start(self, work: PassDescriptor) -> None:
-        if not self.idle:
-            raise RuntimeError("group is busy")
-        self._ops = _micro_schedule(work)
-        self._pos = 0
-        if not self._ops:  # cannot happen: 4 quads always emit >= 4 ops
-            self.completed_passes += 1
-
-    def step(self) -> bool:
-        """Advance one cycle; returns True if a pass completed this cycle."""
-        if self.idle:
-            return False
-        self.busy_cycles += 1
-        op = self._ops[self._pos]
-        self._pos += 1
-        if op == _OP_SKIP:
-            self.skip_cycles += 1
-        else:
-            self.run_cycles += 1
-            if op == _OP_BCAST:
-                self.bcast_cycles += 1
-            else:
-                self.stall_cycles += 1
-        if self.idle:
-            self.completed_passes += 1
-            return True
-        return False
-
-
 @dataclass
 class ClusterResult:
-    """Outcome of a cycle-stepped cluster run."""
+    """Outcome of a cluster run."""
 
     cycles: int
     run_cycles: int
@@ -204,11 +123,9 @@ class ClusterSim:
     ``ops/bcast``, ``ops/stall``), per-cycle queue-depth and
     pending-result histograms, and tri-buffer occupancy; pass
     ``tracer=Tracer(...)`` for timestamped per-pass completion events.
-    Both default to shared no-ops. Attaching either forces the scalar
-    stepper (the fast path cannot reconstruct per-cycle samples);
-    otherwise :meth:`run` takes the vectorized path, which is
-    bit-identical — ``slow_reference=True`` forces the stepper for the
-    equivalence tests.
+    Both default to shared no-ops, and neither changes how :meth:`run`
+    computes. The simulator holds only its configuration, so one
+    instance can run any number of batches.
     """
 
     def __init__(
@@ -222,7 +139,6 @@ class ClusterSim:
             raise ConfigError("n_groups must be >= 1")
         self.n_groups = n_groups
         self.accumulation_bandwidth = accumulation_bandwidth
-        self.groups = [PEGroupSim() for _ in range(n_groups)]
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -231,82 +147,8 @@ class ClusterSim:
         passes: Sequence[PassDescriptor],
         outlier_broadcasts: int = 0,
         max_cycles: int = 10_000_000,
-        slow_reference: bool = False,
     ) -> ClusterResult:
-        """Run all passes to completion and return cycle statistics."""
-        if slow_reference or self.obs is not NULL_REGISTRY or self.tracer is not NULL_TRACER:
-            return self._run_scalar(passes, outlier_broadcasts, max_cycles)
-        return self._run_fast(passes, outlier_broadcasts, max_cycles)
-
-    # -- scalar reference stepper ------------------------------------------
-
-    def _run_scalar(
-        self,
-        passes: Sequence[PassDescriptor],
-        outlier_broadcasts: int = 0,
-        max_cycles: int = 10_000_000,
-    ) -> ClusterResult:
-        queue: List[PassDescriptor] = list(passes)
-        pending_results = 0  # group results waiting for the normal accum unit
-        accumulated = 0
-        stalls = 0
-        outlier_left = int(outlier_broadcasts)
-        outlier_done = 0
-        tri = TriBuffer()
-        obs = self.obs
-        tracer = self.tracer
-        queue_hist = obs.histogram("queue_depth")
-        pending_hist = obs.histogram("pending_results")
-        tri_hist = obs.histogram("tribuffer_active")
-
-        cycle = 0
-        while cycle < max_cycles:
-            work_left = queue or any(not g.idle for g in self.groups)
-            if not work_left and pending_results == 0 and outlier_left == 0:
-                break
-            cycle += 1
-            queue_hist.record(len(queue))
-
-            # Dispatch: every idle group takes the next pending pass.
-            for group in self.groups:
-                if group.idle and queue:
-                    group.start(queue.pop(0))
-
-            # Step the front ends.
-            for index, group in enumerate(self.groups):
-                if group.step():
-                    pending_results += 1
-                    tracer.emit(cycle, "pass_done", group=index)
-
-            # Outlier PE group: one broadcast per cycle.
-            if outlier_left > 0:
-                outlier_left -= 1
-                outlier_done += 1
-
-            # Accumulation back end through the tri-buffer.
-            pending_hist.record(pending_results)
-            if pending_results > 0:
-                normal, outlier = tri.step()
-                tri_hist.record(len(normal | outlier))
-                merged = min(pending_results, self.accumulation_bandwidth)
-                accumulated += merged
-                if pending_results > self.accumulation_bandwidth:
-                    stalls += 1
-                pending_results -= merged
-        else:
-            raise RuntimeError(f"cluster did not converge within {max_cycles} cycles")
-
-        return self._finish(cycle, outlier_done, stalls, len(passes), tri.conflict_free)
-
-    # -- vectorized fast path ----------------------------------------------
-
-    def _run_fast(
-        self,
-        passes: Sequence[PassDescriptor],
-        outlier_broadcasts: int = 0,
-        max_cycles: int = 10_000_000,
-    ) -> ClusterResult:
-        """Batch the whole run with numpy; bit-identical to the stepper.
+        """Run all passes to completion and return cycle statistics.
 
         Per pass, the micro-op schedule reduces to counts — skips
         (all-zero quads), broadcasts (nonzero lanes) and stalls (spilled
@@ -316,115 +158,120 @@ class ClusterSim:
         a heap in O(P log G). Completions per cycle then feed the
         accumulation queue's Lindley recursion, evaluated closed-form
         with a cumulative sum and a running minimum.
+
+        Raises :class:`RuntimeError` when the run needs ``max_cycles``
+        cycles or more; an attached registry or tracer has then seen the
+        first ``max_cycles`` cycles and no counters.
         """
         n_passes = len(passes)
         outlier_done = int(outlier_broadcasts)
-        n_groups = self.n_groups
         bw = self.accumulation_bandwidth
-
-        if n_passes == 0:
-            cycles = outlier_done
-            if cycles >= max_cycles:
-                raise RuntimeError(f"cluster did not converge within {max_cycles} cycles")
-            return self._finish(cycles, outlier_done, 0, 0, True)
 
         if isinstance(passes, PassMatrix):
             acts, spill = passes.acts, passes.spill
         else:
-            acts = np.asarray([p.activations for p in passes], dtype=np.int64)
-            spill = np.asarray([p.spill for p in passes], dtype=bool)
+            acts = np.asarray([p.activations for p in passes], dtype=np.int64).reshape(n_passes, LANES)
+            spill = np.asarray([p.spill for p in passes], dtype=bool).reshape(n_passes, LANES)
         bcast_p, stall_p, skip_p = pass_op_counts(acts, spill)
         length_p = bcast_p + stall_p + skip_p
 
         # Greedy dispatch replay: pass i starts the cycle its group frees.
         finish_p = np.empty(n_passes, dtype=np.int64)
         group_p = np.empty(n_passes, dtype=np.int64)
-        heap: List[Tuple[int, int]] = [(1, g) for g in range(n_groups)]
-        for i, length in enumerate(length_p):
+        heap: List[Tuple[int, int]] = [(1, g) for g in range(self.n_groups)]
+        for i, length in enumerate(length_p.tolist()):
             free, g = heapq.heappop(heap)
-            finish = free + int(length) - 1
-            finish_p[i] = finish
+            finish_p[i] = free + length - 1
             group_p[i] = g
-            heapq.heappush(heap, (finish + 1, g))
+            heapq.heappush(heap, (free + length, g))
 
-        last_finish = int(finish_p.max())
+        last_finish = int(finish_p.max(initial=0))
         arrivals = np.bincount(finish_p, minlength=last_finish + 1)[1:]
 
         # Accumulation backlog: Q_c = max(0, Q_{c-1} + a_c - bw) unrolls to
         # S_c - min(0, min_{j<=c} S_j) with S_c = cumsum(a)_c - bw*c.
-        csum = np.cumsum(arrivals, dtype=np.int64)
-        s = csum - bw * np.arange(1, last_finish + 1, dtype=np.int64)
-        run_min = np.minimum(np.minimum.accumulate(s), 0)
-        q = s - run_min
-        q_prev = np.concatenate(([0], q[:-1]))
-        pending_before = q_prev + arrivals
-        stalls = int((pending_before > bw).sum())
+        s = np.cumsum(arrivals, dtype=np.int64) - bw * np.arange(1, last_finish + 1, dtype=np.int64)
+        q = s - np.minimum(np.minimum.accumulate(s), 0)
+        # Results waiting before each cycle's merge: the backlog plus that
+        # cycle's arrivals, then the leftover backlog draining at bw.
+        q_prev = np.concatenate(([0], q))[:-1]
+        q_final = int(q[-1]) if q.size else 0
+        waiting = np.concatenate((q_prev + arrivals, np.arange(q_final, 0, -bw)))
+        cycles = max(waiting.size, outlier_done)
 
-        # Drain the leftover backlog at bw per cycle, then the outlier tail.
-        q_final = int(q[-1])
-        drain = -(-q_final // bw)  # ceil
-        stalls += max(0, drain - 1)
-        cycles = max(last_finish + drain, outlier_done)
+        horizon = max(0, min(cycles, max_cycles))
+        if self.obs.enabled:
+            self._record_histograms(horizon, waiting, finish_p - length_p + 1)
+        if self.tracer.enabled:
+            order = np.lexsort((group_p, finish_p))
+            for cycle, group in zip(finish_p[order].tolist(), group_p[order].tolist()):
+                if cycle > horizon:
+                    break
+                self.tracer.emit(cycle, "pass_done", group=group)
         if cycles >= max_cycles:
             raise RuntimeError(f"cluster did not converge within {max_cycles} cycles")
 
-        # Attribute per-group counters so repeated run() calls accumulate
-        # exactly like the stepper (ClusterSim instances are reusable).
-        for name, per_pass in (
-            ("busy_cycles", length_p),
-            ("skip_cycles", skip_p),
-            ("run_cycles", bcast_p + stall_p),
-            ("bcast_cycles", bcast_p),
-            ("stall_cycles", stall_p),
-            ("completed_passes", np.ones(n_passes, dtype=np.int64)),
-        ):
-            totals = np.bincount(group_p, weights=per_pass, minlength=n_groups)
-            for g, group in enumerate(self.groups):
-                setattr(group, name, getattr(group, name) + int(totals[g]))
-
-        return self._finish(cycles, outlier_done, stalls, n_passes, True)
-
-    # -- shared result assembly --------------------------------------------
-
-    def _finish(
-        self,
-        cycles: int,
-        outlier_done: int,
-        stalls: int,
-        n_passes: int,
-        conflict_free: bool,
-    ) -> ClusterResult:
-        run = sum(g.run_cycles for g in self.groups)
-        skip = sum(g.skip_cycles for g in self.groups)
-        busy = sum(g.busy_cycles for g in self.groups)
-        bcast = sum(g.bcast_cycles for g in self.groups)
-        stall = sum(g.stall_cycles for g in self.groups)
-        idle = cycles * self.n_groups - busy
-        obs = self.obs
-        with obs.scope("ops"):
-            obs.counter("skip").add(skip)
-            obs.counter("bcast").add(bcast)
-            obs.counter("stall").add(stall)
-        obs.counter("run_cycles").add(run)
-        obs.counter("skip_cycles").add(skip)
-        obs.counter("idle_cycles").add(idle)
-        obs.counter("cycles").add(cycles)
-        obs.counter("passes").add(sum(g.completed_passes for g in self.groups))
-        obs.counter("outlier_broadcasts").add(outlier_done)
-        obs.counter("accumulation_stalls").add(stalls)
-        return ClusterResult(
+        bcast = int(bcast_p.sum())
+        stall = int(stall_p.sum())
+        skip = int(skip_p.sum())
+        result = ClusterResult(
             cycles=cycles,
-            run_cycles=run,
+            run_cycles=bcast + stall,
             skip_cycles=skip,
-            idle_cycles=idle,
+            idle_cycles=cycles * self.n_groups - int(length_p.sum()),
             outlier_cycles=outlier_done,
-            accumulation_stalls=stalls,
-            passes=sum(g.completed_passes for g in self.groups),
-            tri_buffer_conflict_free=conflict_free,
+            accumulation_stalls=int((waiting > bw).sum()),
+            passes=n_passes,
+            tri_buffer_conflict_free=True,
             bcast_cycles=bcast,
             stall_cycles=stall,
             max_queue_depth=n_passes,
         )
+        _record_counters(self.obs, result)
+        return result
+
+    def _record_histograms(self, horizon: int, waiting: np.ndarray, start_p: np.ndarray) -> None:
+        """The per-cycle histograms of cycles 1..``horizon``, one
+        :meth:`~repro.obs.registry.Histogram.record` per distinct value."""
+        # Queue depth (sampled before dispatch) is the passes not started
+        # yet. Starts never decrease, so depth n-k holds on the cycles
+        # after start[k-1] up to start[k].
+        edges = np.concatenate(([0], np.minimum(start_p, horizon), [horizon]))
+        _record_counts(self.obs.histogram("queue_depth"), np.diff(edges)[::-1])
+        # Pending results, zero through the outlier tail.
+        waiting = waiting[:horizon]
+        counts = np.bincount(waiting, minlength=1)
+        counts[0] += horizon - waiting.size
+        _record_counts(self.obs.histogram("pending_results"), counts)
+        # Tri-buffer (TriBuffer rotation): the first merging cycle holds
+        # the normal unit's two buffers, every later one the outlier's too.
+        tri = self.obs.histogram("tribuffer_active")
+        active = int(np.count_nonzero(waiting))
+        if active:
+            tri.record(2)
+        if active > 1:
+            tri.record(3, active - 1)
+
+
+def _record_counts(histogram, counts: np.ndarray) -> None:
+    """Record each value ``v`` ``counts[v]`` times."""
+    for value in np.flatnonzero(counts).tolist():
+        histogram.record(value, int(counts[value]))
+
+
+def _record_counters(obs: Registry, result: ClusterResult) -> None:
+    """Add a finished run's totals to ``obs`` (shared with the stepper)."""
+    with obs.scope("ops"):
+        obs.counter("skip").add(result.skip_cycles)
+        obs.counter("bcast").add(result.bcast_cycles)
+        obs.counter("stall").add(result.stall_cycles)
+    obs.counter("run_cycles").add(result.run_cycles)
+    obs.counter("skip_cycles").add(result.skip_cycles)
+    obs.counter("idle_cycles").add(result.idle_cycles)
+    obs.counter("cycles").add(result.cycles)
+    obs.counter("passes").add(result.passes)
+    obs.counter("outlier_broadcasts").add(result.outlier_cycles)
+    obs.counter("accumulation_stalls").add(result.accumulation_stalls)
 
 
 def passes_from_levels(

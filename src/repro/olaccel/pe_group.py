@@ -71,12 +71,14 @@ def pass_op_counts(act_levels: np.ndarray, spill_flags: np.ndarray):
     stall cycle (Fig. 8), and all-zero aligned quads one skip cycle each
     (Fig. 18). ``bcast + stall + skip`` is the exact pass length the
     scalar micro-op schedule would execute — the batched form of
-    :func:`chunk_pass_cycles`, shared by the vectorized
-    :meth:`~repro.olaccel.event_sim.ClusterSim.run` accounting.
+    :func:`chunk_pass_cycles`, and the one micro-op rule that
+    :meth:`~repro.olaccel.event_sim.ClusterSim.run`,
+    :func:`batch_pass_cycles` and :func:`sample_pass_cycles` count
+    through. ``act_levels`` may also be a boolean nonzero mask.
     """
     import numpy as np
 
-    act_levels = np.asarray(act_levels, dtype=np.int64)
+    act_levels = np.asarray(act_levels)
     spill_flags = np.asarray(spill_flags, dtype=bool)
     n = act_levels.shape[0]
     lanes = act_levels.shape[1] if act_levels.ndim == 2 else 0
@@ -192,12 +194,9 @@ def sample_pass_cycles(
     if n_passes <= 0:
         return np.zeros(0, dtype=np.int64)
     mask = rng.random((n_passes, lanes)) < act_density
-    nonzero = mask.sum(axis=1)
     spill = rng.random((n_passes, lanes)) < weight_multi_outlier_fraction
-    extra = (mask & spill).sum(axis=1)
-    quads = mask.reshape(n_passes, lanes // 4, 4)
-    zero_quads = (~quads.any(axis=2)).sum(axis=1)
-    return (nonzero + extra + zero_quads).astype(np.int64)
+    bcast, stall, skip = pass_op_counts(mask, spill)
+    return bcast + stall + skip
 
 
 def dense_pass_factor(act_bits: int, weight_bits: int, base_bits: int = 4) -> int:

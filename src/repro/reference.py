@@ -17,20 +17,23 @@ reference twin                  production function
 ``unpack_activations_scalar``   :func:`repro.arch.act_packing.unpack_activations`
 ``validate_swarm_scalar``       :func:`repro.faults.validate.validate_swarm`
 ``batch_pass_cycles_scalar``    :func:`repro.olaccel.pe_group.batch_pass_cycles`
+``cluster_run_scalar``          :meth:`repro.olaccel.event_sim.ClusterSim.run`
 ==============================  =============================================
 
 :func:`packed_from_chunks` is the one place a :class:`WeightChunk` list
 becomes a :class:`PackedWeights` (tests build hand-made tables with it),
 and :func:`chunk_form` is its inverse. The twins that walk chunks or
 FIFO entries take them as arguments, so a caller that times one can
-build them outside the timed call.
+build them outside the timed call. :func:`cluster_run_scalar` steps
+:class:`PEGroupSim` front ends, the per-cycle state machine of one PE
+group, cycle by cycle.
 
 Its readers are the equivalence tests, ``tools/fuzz_datapath.py`` and
 ``repro bench``, which times each fast path against its twin. That last
 one is why the module lives under ``src``: of the modules there, only
 :mod:`repro.harness.bench` imports it, so no other verb loads it
-(``tests/test_imports.py`` checks the imports, and that ``faults`` and
-``run`` leave it unloaded).
+(``tests/test_imports.py`` checks the imports, and that ``faults``,
+``run`` and ``profile`` leave it unloaded).
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from .arch.packing import PackedWeights, WeightTables, _validate_levels, normal_
 from .errors import CapacityError, ChunkIntegrityError, QuantRangeError
 from .faults.validate import _check_policy
 from .obs import NULL_REGISTRY, Registry
+from .olaccel.event_sim import ClusterResult, ClusterSim, PassDescriptor, _record_counters
 from .olaccel.pe_group import chunk_pass_cycles
+from .olaccel.tribuffer import TriBuffer
 
 __all__ = [
     "packed_from_chunks",
@@ -69,6 +74,8 @@ __all__ = [
     "unpack_activations_scalar",
     "validate_swarm_scalar",
     "batch_pass_cycles_scalar",
+    "PEGroupSim",
+    "cluster_run_scalar",
 ]
 
 
@@ -418,3 +425,163 @@ def batch_pass_cycles_scalar(act_levels: np.ndarray, spill_flags: Optional[np.nd
         chunk = ActivationChunk(tuple(int(v) for v in row))
         cycles[i] = chunk_pass_cycles(chunk, [2 if s else 1 for s in srow])
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# The PE cluster, cycle by cycle
+# ---------------------------------------------------------------------------
+
+#: Micro-operations a PE group front end executes, one per cycle.
+_OP_SKIP = "skip"  # an all-zero quad scanned away
+_OP_BCAST = "bcast"  # a nonzero activation broadcast to the 17 MACs
+_OP_STALL = "stall"  # second cycle of a spilled (multi-outlier) chunk
+
+
+def _micro_schedule(work: PassDescriptor) -> List[str]:
+    """Expand one pass into its exact per-cycle micro-op sequence.
+
+    The front end scans activations a quad at a time: an all-zero quad
+    costs one skip cycle; each nonzero lane costs a broadcast cycle, plus
+    a stall cycle when its weight chunk spills (Fig. 8). Zero lanes inside
+    a quad that also has nonzeros are free — the quad's nonzero mask is
+    known the cycle it is read.
+    """
+    ops: List[str] = []
+    for quad in range(LANES // 4):
+        lanes = range(quad * 4, quad * 4 + 4)
+        nonzero = [lane for lane in lanes if work.activations[lane] != 0]
+        if not nonzero:
+            ops.append(_OP_SKIP)
+            continue
+        for lane in nonzero:
+            ops.append(_OP_BCAST)
+            if work.spill[lane]:
+                ops.append(_OP_STALL)
+    return ops
+
+
+class PEGroupSim:
+    """One PE group's front end as a cycle-stepped state machine."""
+
+    def __init__(self) -> None:
+        self._ops: List[str] = []
+        self._pos = 0
+        self.busy_cycles = 0
+        self.skip_cycles = 0
+        self.run_cycles = 0
+        #: micro-op split of ``run_cycles`` (broadcast vs spill stall)
+        self.bcast_cycles = 0
+        self.stall_cycles = 0
+        self.completed_passes = 0
+
+    @property
+    def idle(self) -> bool:
+        return self._pos >= len(self._ops)
+
+    def start(self, work: PassDescriptor) -> None:
+        if not self.idle:
+            raise RuntimeError("group is busy")
+        self._ops = _micro_schedule(work)  # 4 quads always emit >= 4 ops
+        self._pos = 0
+
+    def step(self) -> bool:
+        """Advance one cycle; returns True if a pass completed this cycle."""
+        if self.idle:
+            return False
+        self.busy_cycles += 1
+        op = self._ops[self._pos]
+        self._pos += 1
+        if op == _OP_SKIP:
+            self.skip_cycles += 1
+        else:
+            self.run_cycles += 1
+            if op == _OP_BCAST:
+                self.bcast_cycles += 1
+            else:
+                self.stall_cycles += 1
+        if self.idle:
+            self.completed_passes += 1
+            return True
+        return False
+
+
+def cluster_run_scalar(
+    sim: ClusterSim,
+    passes: Sequence[PassDescriptor],
+    outlier_broadcasts: int = 0,
+    max_cycles: int = 10_000_000,
+) -> ClusterResult:
+    """The cycle stepper: same contract as :meth:`ClusterSim.run` on ``sim``.
+
+    Builds fresh :class:`PEGroupSim` front ends for ``sim``'s group
+    count, then walks every cycle: sample the queue depth, hand every
+    idle group the next pass, step the front ends, retire one outlier
+    broadcast, and merge up to the accumulation bandwidth of pending
+    results through the tri-buffer. ``sim``'s registry and tracer see
+    every cycle as it happens.
+    """
+    groups = [PEGroupSim() for _ in range(sim.n_groups)]
+    bandwidth = sim.accumulation_bandwidth
+    queue: List[PassDescriptor] = list(passes)
+    pending_results = 0  # group results waiting for the normal accum unit
+    stalls = 0
+    outlier_left = int(outlier_broadcasts)
+    outlier_done = 0
+    tri = TriBuffer()
+    obs = sim.obs
+    tracer = sim.tracer
+    queue_hist = obs.histogram("queue_depth")
+    pending_hist = obs.histogram("pending_results")
+    tri_hist = obs.histogram("tribuffer_active")
+
+    cycle = 0
+    while cycle < max_cycles:
+        work_left = queue or any(not g.idle for g in groups)
+        if not work_left and pending_results == 0 and outlier_left == 0:
+            break
+        cycle += 1
+        queue_hist.record(len(queue))
+
+        # Dispatch: every idle group takes the next pending pass.
+        for group in groups:
+            if group.idle and queue:
+                group.start(queue.pop(0))
+
+        # Step the front ends.
+        for index, group in enumerate(groups):
+            if group.step():
+                pending_results += 1
+                tracer.emit(cycle, "pass_done", group=index)
+
+        # Outlier PE group: one broadcast per cycle.
+        if outlier_left > 0:
+            outlier_left -= 1
+            outlier_done += 1
+
+        # Accumulation back end through the tri-buffer.
+        pending_hist.record(pending_results)
+        if pending_results > 0:
+            normal, outlier = tri.step()
+            tri_hist.record(len(normal | outlier))
+            if pending_results > bandwidth:
+                stalls += 1
+            pending_results -= min(pending_results, bandwidth)
+    else:
+        raise RuntimeError(f"cluster did not converge within {max_cycles} cycles")
+
+    busy = sum(g.busy_cycles for g in groups)
+    result = ClusterResult(
+        cycles=cycle,
+        run_cycles=sum(g.run_cycles for g in groups),
+        skip_cycles=sum(g.skip_cycles for g in groups),
+        idle_cycles=cycle * sim.n_groups - busy,
+        outlier_cycles=outlier_done,
+        accumulation_stalls=stalls,
+        passes=sum(g.completed_passes for g in groups),
+        tri_buffer_conflict_free=tri.conflict_free,
+        bcast_cycles=sum(g.bcast_cycles for g in groups),
+        stall_cycles=sum(g.stall_cycles for g in groups),
+        max_queue_depth=len(passes),
+    )
+    _record_counters(obs, result)
+    return result

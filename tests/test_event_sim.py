@@ -1,4 +1,4 @@
-"""Tests for the cycle-stepped cluster simulator (repro.olaccel.event_sim),
+"""Tests for the cycle-exact cluster simulator (repro.olaccel.event_sim),
 including cross-validation against the analytic/exact cycle models."""
 
 import numpy as np
@@ -6,7 +6,8 @@ import pytest
 
 from repro.arch import ActivationChunk, WeightChunk
 from repro.olaccel import chunk_pass_cycles, expected_pass_costs, schedule_passes
-from repro.olaccel.event_sim import ClusterSim, PassDescriptor, PEGroupSim, passes_from_levels
+from repro.olaccel.event_sim import ClusterSim, PassDescriptor, passes_from_levels
+from repro.reference import PEGroupSim
 
 
 def make_pass(values, spill_lanes=()):

@@ -151,7 +151,9 @@ def test_array_verbs_still_load_numpy(tmp_path, argv):
     assert "numpy" in loaded
 
 
-@pytest.mark.parametrize("argv", [["faults", "alexnet"], ["run", "fig11"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [["faults", "alexnet"], ["run", "fig11"], ["profile", "alexnet"]], ids=" ".join
+)
 def test_verbs_never_load_the_reference_twins(tmp_path, argv):
     code, loaded, err = _main(*argv, "--seed", "0", "--json", str(tmp_path / "out.json"))
     assert code == 0, err

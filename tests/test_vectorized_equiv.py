@@ -21,6 +21,7 @@ from repro.olaccel.functional import olaccel_conv2d
 from repro.reference import (
     batch_pass_cycles_scalar,
     chunk_form,
+    cluster_run_scalar,
     decode_table,
     encode_table,
     pack_activations_scalar,
@@ -406,94 +407,131 @@ def test_faulty_conv_counters_reconcile_with_fast_paths():
 # ---------------------------------------------------------------------------
 
 
-def _random_cluster_case(rng):
+def _random_cluster_case(rng, case):
+    """One pass batch (every tenth empty), 0-299 outlier broadcasts,
+    1-12 groups and bandwidth 1-4."""
     from repro.olaccel.event_sim import passes_from_levels
 
-    n_passes = int(rng.integers(0, 40))
+    n_passes = 0 if case % 10 == 0 else int(rng.integers(1, 60))
     levels = rng.integers(0, 16, size=(n_passes, 16))
-    levels[rng.random(levels.shape) < float(rng.uniform(0.2, 0.8))] = 0
+    levels[rng.random(levels.shape) < float(rng.uniform(0.1, 0.9))] = 0
     spills = rng.random(levels.shape) < float(rng.uniform(0.0, 0.5))
     return (
         passes_from_levels(levels, spills),
-        int(rng.integers(0, 30)),
+        int(rng.integers(0, 300)),
         int(rng.integers(1, 13)),
-        int(rng.integers(1, 5)),
+        1 + case % 4,
     )
 
 
-def test_cluster_sim_fast_matches_scalar_randomized():
+def _observed_run(run, n_groups, bw, passes, capacity=65536, **kwargs):
+    """``run(sim, passes, **kwargs)`` on a simulator with a fresh registry
+    and tracer attached: (result or error text, registry document,
+    histogram names in creation order, trace events, dropped events)."""
     import dataclasses
 
+    from repro.obs import Tracer
+    from repro.olaccel.event_sim import ClusterSim
+
+    obs, tracer = Registry(), Tracer(capacity=capacity)
+    sim = ClusterSim(n_groups=n_groups, accumulation_bandwidth=bw, obs=obs, tracer=tracer)
+    try:
+        outcome = dataclasses.asdict(run(sim, passes, **kwargs))
+    except RuntimeError as exc:
+        outcome = str(exc)
+    events = [(e.cycle, e.kind, e.payload) for e in tracer.events]
+    return outcome, obs.to_dict(), list(obs.histograms), events, tracer.dropped
+
+
+def _fast(sim, passes, **kwargs):
+    return sim.run(passes, **kwargs)
+
+
+def test_cluster_sim_fast_matches_scalar_randomized():
+    """Result, registry document (histograms in creation order) and trace
+    events of every observed run equal the stepper's: empty batches,
+    outlier tails longer than the passes, bandwidth 1-4, a tracer ring
+    that drops events, and runs cut at the ``max_cycles`` boundary."""
     from repro.olaccel.event_sim import ClusterSim
 
     rng = np.random.default_rng(4242)
-    for _ in range(60):
-        passes, outliers, n_groups, bw = _random_cluster_case(rng)
-        fast_sim = ClusterSim(n_groups=n_groups, accumulation_bandwidth=bw)
-        slow_sim = ClusterSim(n_groups=n_groups, accumulation_bandwidth=bw)
-        fast = fast_sim.run(passes, outlier_broadcasts=outliers)
-        slow = slow_sim.run(passes, outlier_broadcasts=outliers, slow_reference=True)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
-        # per-group counters must agree too: ClusterSim instances are
-        # reusable and accumulate across run() calls
-        for f_group, s_group in zip(fast_sim.groups, slow_sim.groups):
-            assert f_group.busy_cycles == s_group.busy_cycles
-            assert f_group.run_cycles == s_group.run_cycles
-            assert f_group.skip_cycles == s_group.skip_cycles
-            assert f_group.bcast_cycles == s_group.bcast_cycles
-            assert f_group.stall_cycles == s_group.stall_cycles
-            assert f_group.completed_passes == s_group.completed_passes
+    raised = dropped = 0
+    for case in range(120):
+        passes, outliers, n_groups, bw = _random_cluster_case(rng, case)
+        kwargs = {"outlier_broadcasts": outliers}
+        if case % 3 == 0:
+            need = ClusterSim(n_groups, bw).run(passes, **kwargs).cycles
+            kwargs["max_cycles"] = need + int(rng.integers(-5, 2))
+        capacity = 3 if case % 2 else 65536
+        fast = _observed_run(_fast, n_groups, bw, passes, capacity, **kwargs)
+        slow = _observed_run(cluster_run_scalar, n_groups, bw, passes, capacity, **kwargs)
+        assert fast == slow, case
+        if capacity > len(passes) and not isinstance(fast[0], str):
+            # the pass_done list names the cycle and group of every pass
+            assert len(fast[3]) == len(passes)
+        raised += isinstance(fast[0], str)
+        dropped += fast[4] > 0
+    assert raised > 10 and dropped > 10
 
 
 def test_cluster_sim_fast_matches_scalar_edge_cases():
-    import dataclasses
-
-    from repro.olaccel.event_sim import ClusterSim, passes_from_levels
+    from repro.olaccel.event_sim import passes_from_levels
 
     empty = passes_from_levels(np.zeros((0, 16), dtype=np.int64))
     all_zero = passes_from_levels(np.zeros((5, 16), dtype=np.int64))
     for passes, outliers in [(empty, 0), (empty, 7), (all_zero, 0), (all_zero, 3)]:
-        fast = ClusterSim(n_groups=3).run(passes, outlier_broadcasts=outliers)
-        slow = ClusterSim(n_groups=3).run(
-            passes, outlier_broadcasts=outliers, slow_reference=True
-        )
-        assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+        fast = _observed_run(_fast, 3, 2, passes, outlier_broadcasts=outliers)
+        slow = _observed_run(cluster_run_scalar, 3, 2, passes, outlier_broadcasts=outliers)
+        assert fast == slow
+    # a zero-cycle run still creates all three histograms, empty
+    outcome, doc, names, events, _ = _observed_run(_fast, 3, 2, empty)
+    assert outcome["cycles"] == 0 and events == []
+    assert names == ["queue_depth", "pending_results", "tribuffer_active"]
+    assert all(doc["histograms"][name]["count"] == 0 for name in names)
 
 
 def test_cluster_sim_repeated_runs_accumulate_identically():
+    """One simulator run twice returns what two fresh ones return, and
+    its registry adds up both runs exactly as the stepper's does."""
     import dataclasses
 
-    from repro.olaccel.event_sim import ClusterSim
+    from repro.olaccel.event_sim import ClusterSim, passes_from_levels
 
     rng = np.random.default_rng(77)
-    fast_sim = ClusterSim(n_groups=4)
-    slow_sim = ClusterSim(n_groups=4)
-    for _ in range(3):
-        passes, outliers, _, _ = _random_cluster_case(rng)
-        fast = fast_sim.run(passes, outlier_broadcasts=outliers)
-        slow = slow_sim.run(passes, outlier_broadcasts=outliers, slow_reference=True)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+    big = passes_from_levels(rng.integers(0, 16, size=(300, 16)))
+    small = passes_from_levels(rng.integers(0, 16, size=(3, 16)))
+    reused_obs, stepper_obs = Registry(), Registry()
+    reused = ClusterSim(n_groups=4, obs=reused_obs)
+    stepper = ClusterSim(n_groups=4, obs=stepper_obs)
+    for passes, outliers in [(big, 10), (small, 0)]:
+        got = dataclasses.asdict(reused.run(passes, outlier_broadcasts=outliers))
+        fresh = dataclasses.asdict(ClusterSim(n_groups=4).run(passes, outlier_broadcasts=outliers))
+        want = dataclasses.asdict(cluster_run_scalar(stepper, passes, outlier_broadcasts=outliers))
+        assert got == fresh == want
+    assert got["passes"] == 3 and got["idle_cycles"] >= 0
+    assert reused_obs.to_dict() == stepper_obs.to_dict()
 
 
 def test_cluster_sim_max_cycles_boundary_matches():
     from repro.olaccel.event_sim import ClusterSim, passes_from_levels
 
     passes = passes_from_levels(np.ones((1, 16), dtype=np.int64))
-    need = ClusterSim(n_groups=1).run(passes, slow_reference=True).cycles
+    need = cluster_run_scalar(ClusterSim(n_groups=1), passes).cycles
     for max_cycles in (need, need + 1):
         outcomes = []
-        for slow in (False, True):
+        for run in (_fast, cluster_run_scalar):
             try:
-                ClusterSim(n_groups=1).run(passes, max_cycles=max_cycles, slow_reference=slow)
+                run(ClusterSim(n_groups=1), passes, max_cycles=max_cycles)
                 outcomes.append("converged")
             except RuntimeError:
                 outcomes.append("raised")
         assert outcomes[0] == outcomes[1], (max_cycles, outcomes)
+        assert outcomes[0] == ("raised" if max_cycles == need else "converged")
 
 
-def test_cluster_sim_obs_forces_scalar_stepper():
-    # per-cycle histograms only exist on the stepper; attaching a
-    # registry must produce them (the fast path cannot)
+def test_cluster_sim_obs_records_histograms_on_fast_path():
+    # the per-cycle histograms come from the same run an unobserved
+    # simulator computes, and equal the stepper's
     from repro.olaccel.event_sim import ClusterSim, passes_from_levels
 
     rng = np.random.default_rng(9)
@@ -502,11 +540,14 @@ def test_cluster_sim_obs_forces_scalar_stepper():
     obs = Registry()
     ClusterSim(n_groups=2, obs=obs).run(passes)
     assert obs.histogram("queue_depth").count > 0
+    stepper_obs = Registry()
+    cluster_run_scalar(ClusterSim(n_groups=2, obs=stepper_obs), passes)
+    assert obs.to_dict() == stepper_obs.to_dict()
 
 
-def test_cluster_sim_tracer_forces_scalar_stepper():
-    # per-pass completion events only exist on the stepper; an attached
-    # tracer must receive them even without slow_reference=True
+def test_cluster_sim_tracer_receives_pass_events_on_fast_path():
+    # an attached tracer receives every per-pass completion event, the
+    # stepper's events in the stepper's order
     from repro.obs import Tracer
     from repro.olaccel.event_sim import ClusterSim, passes_from_levels
 
@@ -516,6 +557,9 @@ def test_cluster_sim_tracer_forces_scalar_stepper():
     tracer = Tracer()
     result = ClusterSim(n_groups=2, tracer=tracer).run(passes)
     assert len(tracer.of_kind("pass_done")) == result.passes == 7
+    stepper_tracer = Tracer()
+    cluster_run_scalar(ClusterSim(n_groups=2, tracer=stepper_tracer), passes)
+    assert tracer.to_dicts() == stepper_tracer.to_dicts()
 
 
 def test_passes_from_levels_returns_lazy_pass_matrix():
@@ -551,7 +595,7 @@ def test_cluster_sim_fast_accepts_plain_descriptor_lists():
         for row, srow in zip(levels, spills)
     ]
     fast = ClusterSim(n_groups=3).run(passes, outlier_broadcasts=4)
-    slow = ClusterSim(n_groups=3).run(passes, outlier_broadcasts=4, slow_reference=True)
+    slow = cluster_run_scalar(ClusterSim(n_groups=3), passes, outlier_broadcasts=4)
     assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
 
 
@@ -576,8 +620,9 @@ def test_batch_pass_cycles_fast_matches_slow():
 
 
 def test_pass_op_counts_sum_is_micro_schedule_length():
-    from repro.olaccel.event_sim import PassDescriptor, _micro_schedule
+    from repro.olaccel.event_sim import PassDescriptor
     from repro.olaccel.pe_group import pass_op_counts
+    from repro.reference import _micro_schedule
 
     rng = np.random.default_rng(14)
     levels = rng.integers(0, 16, size=(12, 16))

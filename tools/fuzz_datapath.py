@@ -18,7 +18,8 @@ rate-0 plan to give back the original levels. Last, it strikes the
 swarm outlier table of the case's activations and requires the array
 `validate_swarm` and its per-entry twin (`validate_swarm_scalar`) to
 agree under every recovery policy: same counters, same kept rows, and
-the same entry named by `raise`.
+the same entry named by `raise`; the clean table is audited the same
+way with entries planted at both sides of the outlier threshold.
 
 `check_case` is importable — `tests/test_fuzz_smoke.py` runs a small
 fixed-seed sample of the same property on every test run; this tool
@@ -35,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.arch import decode_packed, pack_activations, pack_weights
+from repro.arch.act_packing import ACT_NORMAL_MAX
 from repro.arch.chunks import WEIGHT_CHUNK_BITS
 from repro.constants import RECOVERY_POLICIES
 from repro.errors import ChunkIntegrityError
@@ -96,18 +98,26 @@ def _swarm_outcome(validate, table, shape, policy):
 
 def check_struck_swarm(acts, fault_seed: int) -> Optional[str]:
     """Strike every sample's swarm table, values and coordinates, then
-    compare the array and per-entry validators; None when they agree."""
+    compare the array and per-entry validators; None when they agree.
+
+    Each sample's clean table is also audited with two entries planted
+    at the outlier threshold: ``ACT_NORMAL_MAX`` (corrupt) and
+    ``ACT_NORMAL_MAX + 1`` (a true outlier), where random strikes
+    rarely land.
+    """
     plan = FaultPlan(rate=STRIKE_RATE, seed=fault_seed, model=FAULT_MODELS[fault_seed % len(FAULT_MODELS)])
     for sample in acts:
         packed = pack_activations(sample)
-        table = packed.outlier_table.copy()
-        table[:, 3], _ = plan.corrupt_levels(table[:, 3], 16, surface="outliers")
-        table[:, :3], _ = plan.corrupt_levels(table[:, :3], 8, surface="activations")
-        for policy in RECOVERY_POLICIES:
-            fast = _swarm_outcome(validate_swarm, table, packed.shape, policy)
-            slow = _swarm_outcome(validate_swarm_scalar, table, packed.shape, policy)
-            if fast != slow:
-                return f"struck-swarm validate mismatch: fault_seed={fault_seed} policy={policy}"
+        struck = packed.outlier_table.copy()
+        struck[:, 3], _ = plan.corrupt_levels(struck[:, 3], 16, surface="outliers")
+        struck[:, :3], _ = plan.corrupt_levels(struck[:, :3], 8, surface="activations")
+        planted = np.concatenate((packed.outlier_table, [[0, 0, 0, ACT_NORMAL_MAX], [0, 0, 0, ACT_NORMAL_MAX + 1]]))
+        for table in (struck, planted):
+            for policy in RECOVERY_POLICIES:
+                fast = _swarm_outcome(validate_swarm, table, packed.shape, policy)
+                slow = _swarm_outcome(validate_swarm_scalar, table, packed.shape, policy)
+                if fast != slow:
+                    return f"struck-swarm validate mismatch: fault_seed={fault_seed} policy={policy}"
     return None
 
 
