@@ -121,16 +121,19 @@ class EnergyModel:
         """One multiply-accumulate lane operation incl. control/registers."""
         return self.mult_energy(act_bits, weight_bits) + self.add_energy(acc_bits) + self.params.ctrl_pj_per_op
 
-    def sram_energy(self, capacity_bits: float, bits_accessed: float) -> float:
-        """Read/write ``bits_accessed`` from an SRAM of ``capacity_bits``.
+    def sram_per_bit(self, capacity_bits: float) -> float:
+        """Energy (pJ) per bit read/written from an SRAM of ``capacity_bits``.
 
         CACTI-style capacity scaling: energy per bit grows with the square
         root of the macro capacity (wordline/bitline length).
         """
         if capacity_bits <= 0:
             raise ValueError("SRAM capacity must be positive")
-        per_bit = self.params.sram_pj_per_bit_8k * (capacity_bits / self.params.sram_ref_bits) ** 0.5
-        return per_bit * bits_accessed
+        return self.params.sram_pj_per_bit_8k * (capacity_bits / self.params.sram_ref_bits) ** 0.5
+
+    def sram_energy(self, capacity_bits: float, bits_accessed: float) -> float:
+        """Read/write ``bits_accessed`` from an SRAM of ``capacity_bits``."""
+        return self.sram_per_bit(capacity_bits) * bits_accessed
 
     def dram_energy(self, bits: float) -> float:
         return self.params.dram_pj_per_bit * bits

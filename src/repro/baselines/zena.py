@@ -78,18 +78,22 @@ class ZenaSimulator:
         obs: Registry = None,
         acc: Optional["AccumulatorModel"] = None,
     ):
-        self.config = config or zena16()
+        self.config = cfg = config or zena16()
         self.energy = energy
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.acc = acc
-
-    def _acc_bits(self) -> int:
-        return self.acc.width_bits if self.acc is not None else self.config.acc_bits
+        # Config-constant terms of the per-layer model, computed once.
+        acc_bits = acc.width_bits if acc is not None else cfg.acc_bits
+        self._buffer_bits = cfg.buffer_bytes * 8
+        self._buffer_pj_per_bit = energy.sram_per_bit(self._buffer_bits)
+        self._spad_pj_per_bit = energy.sram_per_bit(_SPAD_BITS)
+        self._local_bits_per_op = (
+            2 * cfg.bits + _WEIGHT_INDEX_BITS + 2 * acc_bits * _PSUM_SPAD_FRACTION
+        )
+        self._mac_pj = energy.mac_energy(cfg.bits, cfg.bits, acc_bits)
 
     def _note_overflow_risk(self, layer: LayerWorkload) -> None:
         """Count layers whose worst-case reduction exceeds the accumulator."""
-        if self.acc is None:
-            return
         from ..faults.accumulator import required_accumulator_bits
 
         cfg = self.config
@@ -102,43 +106,47 @@ class ZenaSimulator:
 
     def simulate_layer(self, layer: LayerWorkload) -> LayerStats:
         cfg = self.config
-        em = self.energy
-        acc_bits = self._acc_bits()
+        bits = cfg.bits
 
         effective_macs = layer.macs * layer.weight_density * layer.act_density
         cycles = effective_macs / cfg.n_pes / cfg.skip_efficiency
 
-        energy = EnergyBreakdown()
         nonzero_weights = layer.weight_count * layer.weight_density
-        weight_bits = nonzero_weights * (cfg.bits + _WEIGHT_INDEX_BITS)
-        in_bits = layer.input_count * (cfg.bits + 1)  # dense acts + zero mask
-        out_bits = layer.output_count * (cfg.bits + 1)
+        weight_bits = nonzero_weights * (bits + _WEIGHT_INDEX_BITS)
+        in_bits = layer.input_count * (bits + 1)  # dense acts + zero mask
+        out_bits = layer.output_count * (bits + 1)
 
         dram_bits = weight_bits
-        spill = max(0.0, in_bits + out_bits - cfg.buffer_bytes * 8)
-        dram_bits += 2.0 * spill
+        spill = in_bits + out_bits - self._buffer_bits
+        dram_bits += 2.0 * (spill if spill > 0.0 else 0.0)
         if layer.is_first:
             dram_bits += in_bits
-        energy.dram = em.dram_energy(dram_bits)
+        dram = self.energy.dram_energy(dram_bits)
 
-        reuse = max(1.0, layer.kernel / layer.stride)
-        energy.buffer = em.sram_energy(cfg.buffer_bytes * 8, in_bits * reuse + out_bits + 2.0 * weight_bits)
+        reuse = layer.kernel / layer.stride
+        buffer = self._buffer_pj_per_bit * (
+            in_bits * (reuse if reuse > 1.0 else 1.0) + out_bits + 2.0 * weight_bits
+        )
 
-        per_op_local = 2 * cfg.bits + _WEIGHT_INDEX_BITS + 2 * acc_bits * _PSUM_SPAD_FRACTION
-        energy.local = em.sram_energy(_SPAD_BITS, effective_macs * per_op_local)
+        local = self._spad_pj_per_bit * (effective_macs * self._local_bits_per_op)
 
-        energy.logic = effective_macs * em.mac_energy(cfg.bits, cfg.bits, acc_bits)
+        logic = effective_macs * self._mac_pj
         skipped = layer.macs - effective_macs
-        energy.logic += skipped * 0.1 * em.params.ctrl_pj_per_op  # skip bookkeeping
+        logic += skipped * 0.1 * self.energy.params.ctrl_pj_per_op  # skip bookkeeping
+        energy = EnergyBreakdown(dram, buffer, local, logic)
 
-        self._note_overflow_risk(layer)
-        with self.obs.scope(layer.name):
-            self.obs.counter("cycles").add(cycles)
-            self.obs.counter("run_cycles").add(cycles)
-            self.obs.counter("macs").add(layer.macs)
-            self.obs.counter("skipped_macs").add(skipped)
-            self.obs.counter("energy_pj").add(energy.total)
-
+        if self.acc is not None:
+            self._note_overflow_risk(layer)
+        self.obs.count(
+            layer.name,
+            {
+                "cycles": cycles,
+                "run_cycles": cycles,
+                "macs": layer.macs,
+                "skipped_macs": skipped,
+                "energy_pj": energy.total,
+            },
+        )
         return LayerStats(
             layer_name=layer.name,
             cycles=cycles,

@@ -209,19 +209,20 @@ class Candidate:
 
     def accel_config(self):
         """The :class:`~repro.olaccel.config.OLAccelConfig` this point names."""
-        from ..olaccel.config import olaccel16
+        from ..olaccel.config import OLAccelConfig
 
-        base = olaccel16(
-            swarm_buffer_bytes=self.buffer_kib * 1024, outlier_ratio=self.ratio
-        )
-        return replace(
-            base,
+        # olaccel16's precision fields, with this point's geometry and widths.
+        return OLAccelConfig(
             name=f"olx-{self.cand_id}",
             n_clusters=self.clusters,
             groups_per_cluster=self.groups,
             act_bits=self.act_bits,
             weight_bits=self.weight_bits,
+            act_outlier_bits=16,
             acc_bits=self.acc_bits,
+            raw_input_bits=16,
+            outlier_ratio=self.ratio,
+            swarm_buffer_bytes=self.buffer_kib * 1024,
         )
 
     def area_mm2(self) -> float:

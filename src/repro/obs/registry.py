@@ -209,6 +209,24 @@ class Registry:
             found = self.timers[path] = Timer(path)
         return found
 
+    def count(self, scope: str, amounts: Dict[str, float]) -> None:
+        """Add each ``name: amount`` to the counter ``<path>/<scope>/<name>``.
+
+        One call does what a ``scope(scope)`` block of
+        ``counter(name).add(amount)`` calls does, creating counters in
+        ``amounts`` order; a disabled registry returns at once.
+        """
+        if not self.enabled:
+            return
+        prefix = self._path(scope) + "/"
+        counters = self.counters
+        for name, amount in amounts.items():
+            path = prefix + name
+            found = counters.get(path)
+            if found is None:
+                found = counters[path] = Counter(path)
+            found.value += amount
+
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:

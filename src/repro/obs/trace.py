@@ -10,8 +10,9 @@ a shared no-op singleton.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List
 
 __all__ = ["TraceEvent", "Tracer", "NULL_TRACER"]
 
@@ -38,28 +39,32 @@ class Tracer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
-        self.events: List[TraceEvent] = []
+        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         #: events discarded once the ring filled (oldest are dropped)
         self.dropped = 0
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The retained events, oldest first (a list copy of the ring)."""
+        return list(self._ring)
 
     def emit(self, cycle: int, kind: str, **payload: Any) -> None:
         if not self.enabled:
             return
-        if len(self.events) >= self.capacity:
-            self.events.pop(0)
-            self.dropped += 1
-        self.events.append(TraceEvent(cycle=cycle, kind=kind, payload=payload))
+        if len(self._ring) == self.capacity:
+            self.dropped += 1  # the full ring's append drops the oldest
+        self._ring.append(TraceEvent(cycle=cycle, kind=kind, payload=payload))
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+        return [e for e in self._ring if e.kind == kind]
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [
-            {"cycle": e.cycle, "kind": e.kind, **e.payload} for e in self.events
+            {"cycle": e.cycle, "kind": e.kind, **e.payload} for e in self._ring
         ]
 
     def reset(self) -> None:
-        self.events.clear()
+        self._ring.clear()
         self.dropped = 0
 
 

@@ -13,13 +13,12 @@ extends the layer when it exceeds the dense work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["OutlierWork", "outlier_work"]
 
 
-@dataclass(frozen=True)
-class OutlierWork:
+class OutlierWork(NamedTuple):
     """Outlier-path load for one layer."""
 
     outlier_activations: float  # sparse high-precision activations fetched

@@ -27,8 +27,7 @@ functions import numpy themselves, so the analytic models never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..arch.chunks import ActivationChunk, WeightChunk
 
@@ -120,7 +119,8 @@ def multi_outlier_probability(ratio: float, lanes: int = 16) -> float:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     p_zero = (1.0 - ratio) ** lanes
     p_one = lanes * ratio * (1.0 - ratio) ** (lanes - 1)
-    return max(0.0, 1.0 - p_zero - p_one)
+    p_multi = 1.0 - p_zero - p_one
+    return p_multi if p_multi > 0.0 else 0.0
 
 
 def single_or_more_outlier_probability(ratio: float, lanes: int = 16) -> float:
@@ -130,8 +130,7 @@ def single_or_more_outlier_probability(ratio: float, lanes: int = 16) -> float:
     return 1.0 - (1.0 - ratio) ** lanes
 
 
-@dataclass(frozen=True)
-class PassCosts:
+class PassCosts(NamedTuple):
     """Expected per-pass cycle decomposition for a layer's statistics."""
 
     run_cycles: float  # broadcast cycles incl. multi-outlier second cycles

@@ -60,4 +60,4 @@ def accumulation_drain_cycles(out_groups: int, pipeline_depth: int = 2) -> int:
     """
     if out_groups < 0:
         raise ValueError("out_groups must be non-negative")
-    return pipeline_depth * max(out_groups, 1)
+    return pipeline_depth * (1 if 1 > out_groups else out_groups)

@@ -87,6 +87,28 @@ class TestRegistry:
         reg.reset()
         assert reg.counters == {}
 
+    def test_count_matches_scoped_counter_block(self):
+        amounts = {"cycles": 7.5, "run_cycles": 3.0, "passes": 2, "energy_pj": -0.0}
+        block = Registry()
+        batched = Registry()
+        for reg in (block, batched):
+            reg.counter("before").add()
+        for _ in range(2):  # a second round adds to the existing counters
+            with block.scope("olaccel16"):
+                with block.scope("conv1"):
+                    for name, amount in amounts.items():
+                        block.counter(name).add(amount)
+            with batched.scope("olaccel16"):
+                batched.count("conv1", amounts)
+        assert batched.to_dict() == block.to_dict()
+        assert list(batched.counters) == list(block.counters)
+        assert batched._stack == []
+
+    def test_count_on_disabled_registry_records_nothing(self):
+        NULL_REGISTRY.count("conv1", {"cycles": 1.0, "passes": 2.0})
+        assert NULL_REGISTRY.counters == {}
+        assert NULL_REGISTRY._stack == []
+
     def test_global_registry_swap_and_restore(self):
         assert get_registry() is NULL_REGISTRY
         mine = Registry()
@@ -112,6 +134,17 @@ class TestTracer:
             tracer.emit(cycle, "e")
         assert tracer.dropped == 2
         assert [e.cycle for e in tracer.events] == [2, 3]
+
+    def test_full_ring_keeps_newest_events_in_order(self):
+        capacity = 5
+        tracer = Tracer(capacity=capacity)
+        for cycle in range(3 * capacity):
+            tracer.emit(cycle, "e", n=cycle)
+        assert tracer.dropped == 2 * capacity
+        assert [e.cycle for e in tracer.events] == list(range(2 * capacity, 3 * capacity))
+        assert tracer.to_dicts()[0] == {"cycle": 2 * capacity, "kind": "e", "n": 2 * capacity}
+        tracer.reset()
+        assert tracer.events == [] and tracer.dropped == 0
 
     def test_disabled_records_nothing(self):
         tracer = Tracer(enabled=False)
