@@ -1,4 +1,4 @@
-"""Wall-clock benchmark harness: `repro bench` (and tools/bench_runner.py).
+"""Wall-clock benchmark harness: `repro bench`.
 
 Times the simulator's hot paths — chunk packing, the 80-bit bit codec,
 activation packing, OAQ quantization, the analytic per-layer/network

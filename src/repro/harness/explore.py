@@ -48,6 +48,7 @@ See docs/EXPLORE.md for the full workflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import uuid
@@ -513,10 +514,8 @@ def _proxy_accuracy(act_bits: int, weight_bits: int, ratio: float, seed: int) ->
     """
     from ..quant.outlier import magnitude_threshold, quantize_activations, quantize_weights
 
-    rng = np.random.default_rng([seed, act_bits, weight_bits])
-    weights = rng.standard_t(4, size=1 << 15)
+    weights, acts = _proxy_tensors(seed, act_bits, weight_bits)
     qw = quantize_weights(weights, ratio=ratio, normal_bits=weight_bits, outlier_bits=8)
-    acts = np.abs(rng.standard_t(4, size=1 << 15))
     threshold = magnitude_threshold(acts, ratio, over_nonzero=True)
     qa = quantize_activations(
         acts, threshold, normal_bits=act_bits, outlier_bits=16, ratio=ratio
@@ -535,6 +534,20 @@ def _proxy_accuracy(act_bits: int, weight_bits: int, ratio: float, seed: int) ->
         "weight_sqnr_db": w_sqnr,
         "act_sqnr_db": a_sqnr,
     }
+
+
+@functools.lru_cache(maxsize=4)
+def _proxy_tensors(seed: int, act_bits: int, weight_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The seeded (weights, |activations|) draws of :func:`_proxy_accuracy`.
+
+    Every outlier ratio shares them, so each key draws once; callers
+    share the arrays, which are therefore read-only.
+    """
+    rng = np.random.default_rng([seed, act_bits, weight_bits])
+    weights = rng.standard_t(4, size=1 << 15)
+    acts = np.abs(rng.standard_t(4, size=1 << 15))
+    weights.flags.writeable = acts.flags.writeable = False
+    return weights, acts
 
 
 def _measured_accuracy(

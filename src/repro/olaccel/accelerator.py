@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from ..arch.chunks import WEIGHT_CHUNK_BITS
 from ..arch.energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
-from ..arch.stats import LayerStats, RunStats
-from ..arch.workload import LayerWorkload, NetworkWorkload
-from ..obs import NULL_REGISTRY, Registry
+from ..arch.simulator import AnalyticSimulator
+from ..arch.stats import LayerStats
+from ..arch.workload import LayerWorkload
+from ..obs import Registry
 from .cluster import load_balance_efficiency
 from .config import OLAccelConfig, olaccel16
 from .outlier_group import outlier_work
@@ -59,7 +60,7 @@ _GROUP_BUFFER_BITS = 2 * 1024 * 8
 _WEIGHT_BUFFER_BITS = 16 * 1024 * 8
 
 
-class OLAccelSimulator:
+class OLAccelSimulator(AnalyticSimulator):
     """Cycle + energy model of one OLAccel instance.
 
     Pass ``obs=Registry(...)`` to record per-layer counters (run / skip /
@@ -74,15 +75,13 @@ class OLAccelSimulator:
         energy: EnergyModel = DEFAULT_ENERGY,
         obs: Registry = None,
     ):
-        self.config = cfg = config or olaccel16()
-        self.energy = energy
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        cfg = config or olaccel16()
+        super().__init__(cfg, energy, obs, cfg.swarm_buffer_bits, cfg.act_bits)
         # Config-constant terms of the per-layer model, computed once.
         self._n_groups = cfg.n_groups
-        self._swarm_bits = cfg.swarm_buffer_bits
         self._normal_mac_pj = energy.mac_energy(cfg.act_bits, cfg.weight_bits, cfg.acc_bits)
         self._outlier_mac_pj = energy.mac_energy(cfg.act_outlier_bits, cfg.weight_bits, cfg.acc_bits)
-        self._swarm_pj_per_bit = energy.sram_per_bit(self._swarm_bits)
+        self._swarm_pj_per_bit = energy.sram_per_bit(self._buffer_bits)
         self._weight_buffer_pj_per_bit = energy.sram_per_bit(_WEIGHT_BUFFER_BITS)
         self._group_buffer_pj_per_bit = energy.sram_per_bit(_GROUP_BUFFER_BITS)
 
@@ -175,14 +174,7 @@ class OLAccelSimulator:
             in_bits = layer.input_count * cfg.act_bits + fifo_bits
         out_bits = layer.output_count * cfg.act_bits
 
-        # DRAM: weights stream in once; activations overflow the swarm buffer
-        # only when a layer's input+output footprint exceeds it.
-        dram_bits = weight_bits
-        spill = in_bits + out_bits - self._swarm_bits
-        dram_bits += 2.0 * (spill if spill > 0.0 else 0.0)
-        if is_first:
-            dram_bits += in_bits  # raw network input
-        dram = self.energy.dram_energy(dram_bits)
+        dram = self._dram_energy(weight_bits, in_bits, out_bits, is_first)
 
         # Swarm buffer: activation write once, read with vertical reuse;
         # outlier FIFO reads; weights pass through the 16 KiB weight buffer.
@@ -236,16 +228,3 @@ class OLAccelSimulator:
                 "n_passes": n_passes,
             },
         )
-
-    def simulate_network(self, network: NetworkWorkload) -> RunStats:
-        """Simulate every layer; adds the final output's DRAM write."""
-        stats = RunStats(accelerator=self.config.name, network=network.name)
-        with self.obs.timer(f"simulate/{network.name}"), self.obs.scope(self.config.name):
-            for layer in network.layers:
-                stats.add(self.simulate_layer(layer))
-        if stats.layers:
-            last = network.layers[-1]
-            stats.layers[-1].energy.dram += self.energy.dram_energy(
-                last.output_count * self.config.act_bits
-            )
-        return stats

@@ -17,7 +17,8 @@ and the simulated-only part of ``profile alexnet``. Counter lists keep
 their creation order: they are hashed as ``[path, value]`` pairs.
 
 The build counts check that a driver builds each distinct workload once
-and shares it between the simulations that need it.
+and shares it between the simulations that need it, and that the explore
+accuracy proxy draws its tensors once per precision point.
 """
 
 from __future__ import annotations
@@ -216,3 +217,13 @@ def test_explore_builds_each_ratio_once(monkeypatch, rootless_cache):
     result, _ = explore_run(ExploreRequest("resnet18", accuracy="none"))
     assert result.candidates == 216
     assert len(calls) == len({kwargs["ratio"] for _, kwargs in calls}) == 3
+
+
+def test_explore_draws_each_proxy_pair_once(rootless_cache):
+    explore._proxy_tensors.cache_clear()
+    explore_run(ExploreRequest("resnet18"))
+    info = explore._proxy_tensors.cache_info()
+    # Three ratios at one (act_bits, weight_bits) point: one draw, two reuses.
+    assert (info.misses, info.hits) == (1, 2)
+    weights, acts = explore._proxy_tensors(0, 4, 4)
+    assert not weights.flags.writeable and not acts.flags.writeable
