@@ -87,16 +87,17 @@ class EyerissSimulator(BaselineSimulator):
 
         if self.acc is not None:
             self._note_overflow_risk(layer)
-        self.obs.count(
-            layer.name,
-            {
-                "cycles": cycles,
-                "run_cycles": cycles,
-                "macs": macs,
-                "gated_ops": gated_ops,
-                "energy_pj": energy.total,
-            },
-        )
+        if self.obs.enabled:
+            self.obs.count(
+                layer.name,
+                {
+                    "cycles": cycles,
+                    "run_cycles": cycles,
+                    "macs": macs,
+                    "gated_ops": gated_ops,
+                    "energy_pj": energy.total,
+                },
+            )
         return LayerStats(
             layer_name=layer.name,
             cycles=cycles,

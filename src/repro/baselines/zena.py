@@ -83,16 +83,17 @@ class ZenaSimulator(BaselineSimulator):
 
         if self.acc is not None:
             self._note_overflow_risk(layer)
-        self.obs.count(
-            layer.name,
-            {
-                "cycles": cycles,
-                "run_cycles": cycles,
-                "macs": layer.macs,
-                "skipped_macs": skipped,
-                "energy_pj": energy.total,
-            },
-        )
+        if self.obs.enabled:
+            self.obs.count(
+                layer.name,
+                {
+                    "cycles": cycles,
+                    "run_cycles": cycles,
+                    "macs": layer.macs,
+                    "skipped_macs": skipped,
+                    "energy_pj": energy.total,
+                },
+            )
         return LayerStats(
             layer_name=layer.name,
             cycles=cycles,

@@ -77,7 +77,7 @@ same in each; a flag of the other mode (``--lease-ttl``,
 ``--linger``, ``--request-timeout`` without it) exits 2.
 
 The cells worth persisting are additionally **memoized**
-(docs/PERFORMANCE.md): fault cells and explore cost and accuracy cells.
+(docs/PERFORMANCE.md): fault cells and explore accuracy cells.
 ``run``/``compare``/``faults``/``bench``/``explore``/``resume`` take
 ``--cache-dir DIR`` to persist those cells content-addressed under DIR —
 a repeat invocation with the same configuration replays them from the
@@ -85,12 +85,13 @@ cache and produces a byte-identical envelope. The cache has one tier,
 that directory: without it (or with ``--no-cache``, which overrides
 ``--cache-dir`` and ``REPRO_CACHE_DIR``) every cell computes directly,
 with no key, store or copy. The analytic breakdown cells of
-``run``/``compare`` always compute directly: their cycle models cost
-less than a cache lookup, so either flag leaves them and their envelope
-unchanged. ``repro cache stats|clear|prune`` inspects and maintains the
-directory. Cache settings travel to ``--jobs`` workers via the
-``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` environment variables, which the
-flags set for the length of one ``main()`` call.
+``run``/``compare`` and explore's cost cells always compute directly:
+their cycle models cost less than a cache lookup, so either flag leaves
+them and their envelope unchanged. ``repro cache stats|clear|prune``
+inspects and maintains the directory. Cache settings travel to
+``--jobs`` workers via the ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``
+environment variables, which the flags set for the length of one
+``main()`` call.
 
 Each verb imports its drivers inside its handler: ``repro --help``,
 ``repro list`` and usage errors import no numpy, and ``run fig11`` loads
@@ -175,13 +176,25 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _write_outputs(args: argparse.Namespace, envelopes: Dict[str, dict], csv_rows: List[dict]) -> int:
-    """Handle the shared ``--json``/``--csv`` flags; returns an exit code."""
+def _write_outputs(
+    args: argparse.Namespace,
+    envelopes: Dict[str, dict],
+    csv_rows: List[dict],
+    written: Optional[Path] = None,
+) -> int:
+    """Handle the shared ``--json``/``--csv`` flags; returns an exit code.
+
+    ``written`` is a run dir's ``envelope.json``, the saved form of the
+    one envelope: ``--json`` copies its bytes instead of encoding again.
+    """
     from .harness.serialize import save_csv, save_json
 
     if getattr(args, "json", None):
-        payload = next(iter(envelopes.values())) if len(envelopes) == 1 else envelopes
-        print(f"wrote {save_json(payload, args.json)}")
+        if written is not None:
+            print(f"wrote {_copy_envelope(written, args.json)}")
+        else:
+            payload = next(iter(envelopes.values())) if len(envelopes) == 1 else envelopes
+            print(f"wrote {save_json(payload, args.json)}")
     if getattr(args, "csv", None):
         if not csv_rows:
             print(
@@ -192,6 +205,13 @@ def _write_outputs(args: argparse.Namespace, envelopes: Dict[str, dict], csv_row
             return 1
         print(f"wrote {save_csv(csv_rows, args.csv)}")
     return 0
+
+
+def _copy_envelope(written: Path, path: str) -> Path:
+    """Atomically copy a run dir's saved envelope to ``--json``'s path."""
+    from .harness.serialize import atomic_write_text
+
+    return atomic_write_text(Path(written).read_bytes().decode(), path)
 
 
 def _retry_policy(args: argparse.Namespace):
@@ -240,7 +260,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .harness.resilience import breakdown_plan
+        from .harness.resilience import RunDir, breakdown_plan
         from .harness.serialize import experiment_csv_rows
 
         name = names[0]
@@ -255,7 +275,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(result.format())
         print()
         write_code = _write_outputs(
-            args, {name: envelope}, experiment_csv_rows(result) if args.csv else []
+            args,
+            {name: envelope},
+            experiment_csv_rows(result) if args.csv else [],
+            RunDir(args.run_dir).envelope_path,
         )
         return code or write_code
     from .harness.serialize import experiment_csv_rows, experiment_envelope
@@ -292,7 +315,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .harness.serialize import experiment_csv_rows, experiment_envelope
 
     if getattr(args, "run_dir", None):
-        from .harness.resilience import breakdown_plan
+        from .harness.resilience import RunDir, breakdown_plan
 
         plan = breakdown_plan(args.network, ratio=args.ratio, seed=args.seed)
         result, envelope, code = _run_sweep(plan, args)
@@ -300,7 +323,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return code
         print(result.format())
         write_code = _write_outputs(
-            args, {"compare": envelope}, experiment_csv_rows(result) if args.csv else []
+            args,
+            {"compare": envelope},
+            experiment_csv_rows(result) if args.csv else [],
+            RunDir(args.run_dir).envelope_path,
         )
         return code or write_code
     result = breakdown_experiment(args.network, ratio=args.ratio)
@@ -336,7 +362,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from .harness.serialize import experiment_envelope, save_json
 
     if getattr(args, "run_dir", None):
-        from .harness.resilience import faults_plan
+        from .harness.resilience import RunDir, faults_plan
 
         plan = faults_plan(
             args.network,
@@ -352,7 +378,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             return code
         print(result.format())
         if args.json:
-            print(f"wrote {save_json(envelope, args.json)}")
+            print(f"wrote {_copy_envelope(RunDir(args.run_dir).envelope_path, args.json)}")
         return code
     result = fault_sweep(
         args.network,
@@ -429,6 +455,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "weight_bits": args.weight_bits,
     }
     space_doc = {name: values for name, values in space_overrides.items() if values}
+    try:
+        space = DesignSpace.from_dict(space_doc) if space_doc else DesignSpace()
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     request = ExploreRequest(
         network=args.network,
         budget_mm2=args.budget,
@@ -440,7 +471,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         accuracy=args.accuracy,
         accuracy_samples=args.accuracy_samples,
         seed=args.seed,
-        space=DesignSpace.from_dict(space_doc) if space_doc else DesignSpace(),
+        space=space,
     )
     try:
         result, envelope = explore_run(
@@ -455,11 +486,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(result.format())
+    written = None
     if args.run_dir:
-        print(f"\nwrote {Path(args.run_dir) / 'envelope.json'}")
+        written = Path(args.run_dir) / "envelope.json"
+        print(f"\nwrote {written}")
     code = 1 if result.failures else 0
     write_code = _write_outputs(
-        args, {"explore": envelope}, explore_csv_rows(result) if args.csv else []
+        args, {"explore": envelope}, explore_csv_rows(result) if args.csv else [], written
     )
     return code or write_code
 
@@ -469,11 +502,10 @@ def _drain_run_dir(args: argparse.Namespace, owner: str = None) -> int:
     dir (plain sweep or explore search) and report the result."""
     from .harness.explore import explore_resume, is_explore_run
     from .harness.resilience import RunDir, work_run
-    from .harness.serialize import save_json
 
     if is_explore_run(args.run_dir):
         try:
-            result, envelope = explore_resume(
+            result, _ = explore_resume(
                 args.run_dir,
                 jobs=args.jobs,
                 retry=_retry_policy(args),
@@ -485,9 +517,10 @@ def _drain_run_dir(args: argparse.Namespace, owner: str = None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         print(result.format())
-        print(f"\nwrote {Path(args.run_dir) / 'envelope.json'}")
+        written = Path(args.run_dir) / "envelope.json"
+        print(f"\nwrote {written}")
         if args.json:
-            print(f"wrote {save_json(envelope, args.json)}")
+            print(f"wrote {_copy_envelope(written, args.json)}")
         return 1 if result.failures else 0
     try:
         result, envelope, _, _ = work_run(
@@ -503,9 +536,10 @@ def _drain_run_dir(args: argparse.Namespace, owner: str = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(result.format())
-    print(f"\nwrote {RunDir(args.run_dir).envelope_path}")
+    written = RunDir(args.run_dir).envelope_path
+    print(f"\nwrote {written}")
     if args.json:
-        print(f"wrote {save_json(envelope, args.json)}")
+        print(f"wrote {_copy_envelope(written, args.json)}")
     return 1 if envelope["resilience"]["cells_failed"] else 0
 
 
@@ -761,7 +795,8 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="persist the cells worth persisting (fault and explore "
-             "cells; analytic breakdown cells always compute) "
+             "accuracy cells; analytic breakdown and explore cost cells "
+             "always compute) "
              "content-addressed under DIR so repeat invocations replay "
              "them; shared safely by --jobs workers (docs/PERFORMANCE.md)",
     )

@@ -80,8 +80,8 @@ def simulate_cell(kind: str, network: str, ratio: float = 0.03):
     simcache in between. Building the workload costs about as much as
     the cycle/energy model, and together they cost less than keying,
     copying or verifying a cached entry (docs/PERFORMANCE.md, "What it
-    buys, honestly"). Fault cells and explore cells keep the cache; the
-    in-process drivers build a workload once and share it.
+    buys, honestly"). Fault cells and explore accuracy cells keep the
+    cache; the in-process drivers build a workload once and share it.
     """
     return _simulator(kind, network, ratio).simulate_network(paper_workload(network, ratio=ratio))
 

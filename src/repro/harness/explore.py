@@ -10,17 +10,15 @@ accumulator width, operand bit widths — prunes candidates whose
 evaluates the survivors on the analytic simulator, and keeps the
 energy-vs-cycles-vs-accuracy Pareto frontier.
 
-Execution reuses the two PR 4/5 subsystems end to end:
-
-- every candidate evaluation is a **simcache cell** (kind ``explore``)
-  keyed on the full accelerator config + workload digest, so a warm
-  re-exploration replays every point from the cache;
-- with ``--run-dir`` each search *rung* executes as a checkpointed
-  :func:`~repro.harness.resilience.execute_sweep` under
-  ``<run-dir>/rungs/<n>/``, and an ``explore.json`` marker at the run
-  root records the full request so ``repro resume <run-dir>``
-  deterministically re-drives the whole search, skipping completed
-  cells.
+Every candidate evaluation is a cost cell (kind ``explore``) that runs
+the analytic simulator directly: its cycle model is cheaper than a
+simcache key and a verified read. The accuracy cells, one per precision
+point, stay simcache-keyed. With ``--run-dir`` each search *rung*
+executes as a checkpointed
+:func:`~repro.harness.resilience.execute_sweep` under
+``<run-dir>/rungs/<n>/``, and an ``explore.json`` marker at the run
+root records the full request so ``repro resume <run-dir>``
+deterministically re-drives the whole search, skipping completed cells.
 
 Search strategies live behind :class:`SearchStrategy` —
 ``grid`` (exhaustive), ``random`` (seeded subsample of the grid) and
@@ -29,14 +27,13 @@ conv layers, then full-fidelity refinement of the top ``1/eta``).
 
 Observability lands under ``explore/*`` and reconciles exactly::
 
-    candidates == evaluated + pruned + cache_hits
+    candidates == evaluated + pruned
 
 where ``pruned`` counts candidates never simulated (over budget or cut
-by ``--max-candidates``), ``evaluated`` counts screen-rung cells that
-ran the simulator (including ones that failed, tracked separately
-under ``explore/failed``), and ``cache_hits`` counts screen-rung cells
-replayed from the simcache. Refinement rungs count under
-``explore/refine_evaluated`` / ``explore/refine_cache_hits``.
+by ``--max-candidates``) and ``evaluated`` counts screen-rung cells
+(including ones that failed, tracked separately under
+``explore/failed``). Refinement rungs count under
+``explore/refine_evaluated``.
 
 The result is a versioned ``repro.explore/v1`` envelope (JSON/CSV,
 atomic + digest-carrying); ``run_id``/``created`` are declared in a
@@ -140,6 +137,18 @@ class DesignSpace:
     act_bits: Tuple[int, ...] = (4,)
     weight_bits: Tuple[int, ...] = (4,)
 
+    def __post_init__(self):
+        # A repeated value, or two ratios that print alike, would give two
+        # candidates one cand_id: one cell id, one frontier row.
+        for f in fields(self):
+            values = getattr(self, f.name)
+            shown = [f"{v:g}" for v in values] if f.name == "ratios" else values
+            if len(set(shown)) != len(values):
+                raise ConfigError(
+                    f"design-space dimension {f.name!r} repeats a value (as cand_id "
+                    f"prints it): {', '.join(str(v) for v in values)}"
+                )
+
     def size(self) -> int:
         out = 1
         for f in fields(self):
@@ -177,7 +186,7 @@ class Candidate:
     act_bits: int
     weight_bits: int
 
-    @property
+    @functools.cached_property
     def cand_id(self) -> str:
         """Deterministic, filesystem-safe id doubling as the cell id."""
         return (
@@ -209,7 +218,12 @@ class Candidate:
         )
 
     def accel_config(self):
-        """The :class:`~repro.olaccel.config.OLAccelConfig` this point names."""
+        """The :class:`~repro.olaccel.config.OLAccelConfig` this point names,
+        built once per candidate."""
+        return self._accel_config
+
+    @functools.cached_property
+    def _accel_config(self):
         from ..olaccel.config import OLAccelConfig
 
         # olaccel16's precision fields, with this point's geometry and widths.
@@ -348,12 +362,17 @@ def dominates(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
     (ignored when either side carries ``None`` — the ``--accuracy
     none`` mode degrades to a 2-objective frontier).
     """
-    keys = [("cycles", -1.0), ("energy_total", -1.0)]
-    if a.get("accuracy") is not None and b.get("accuracy") is not None:
-        keys.append(("accuracy", 1.0))
-    not_worse = all(sign * a[k] >= sign * b[k] for k, sign in keys)
-    better = any(sign * a[k] > sign * b[k] for k, sign in keys)
-    return not_worse and better
+    a_cycles, b_cycles = a["cycles"], b["cycles"]
+    a_energy, b_energy = a["energy_total"], b["energy_total"]
+    if not (a_cycles <= b_cycles and a_energy <= b_energy):
+        return False
+    better = a_cycles < b_cycles or a_energy < b_energy
+    a_acc, b_acc = a.get("accuracy"), b.get("accuracy")
+    if a_acc is not None and b_acc is not None:
+        if not a_acc >= b_acc:
+            return False
+        better = better or a_acc > b_acc
+    return better
 
 
 class ParetoArchive:
@@ -386,76 +405,47 @@ class ParetoArchive:
 # ---------------------------------------------------------------------------
 
 
-#: Per-process memo of paper workloads and their content digests, keyed
-#: (network, ratio). ``paper_workload`` is a pure function of its
-#: arguments and its result is frozen, so a search builds each distinct
-#: workload once and every candidate at that ratio simulates the same
-#: one; the digest of its full layer-spec JSON identifies it in every
-#: cell key without re-canonicalizing the 20-odd layer dicts per lookup.
-_WORKLOADS: Dict[tuple, Tuple[NetworkWorkload, str]] = {}
+#: Per-process memo of paper workloads, keyed (network, ratio).
+#: ``paper_workload`` is a pure function of its arguments and its result
+#: is frozen, so a search builds each distinct workload once and every
+#: candidate at that ratio simulates the same one.
+_WORKLOADS: Dict[tuple, NetworkWorkload] = {}
 
 
-def _workload(network: str, ratio: float) -> Tuple[NetworkWorkload, str]:
-    """(workload, digest) for (network, ratio); repeats build nothing."""
+def _workload(network: str, ratio: float) -> NetworkWorkload:
     key = (network, float(ratio))
-    entry = _WORKLOADS.get(key)
-    if entry is None:
-        workload = paper_workload(network, ratio=ratio)
-        entry = _WORKLOADS[key] = (workload, content_digest({"layers": to_jsonable(workload)}))
-    return entry
+    workload = _WORKLOADS.get(key)
+    if workload is None:
+        workload = _WORKLOADS[key] = paper_workload(network, ratio=ratio)
+    return workload
 
 
 def explore_cell(
     network: str,
     candidate: Union[Candidate, Dict[str, Any]],
     fidelity_layers: Optional[int] = None,
-    cache: Optional[SimCache] = None,
-) -> Dict[str, Any]:
-    """Evaluate one candidate design through the simcache.
+) -> Dict[str, float]:
+    """Evaluate one candidate design on the analytic simulator.
 
-    Returns a flat dict — ``cycles``, per-component ``energy_*`` plus
-    ``energy_total`` (pJ) — with a transient ``cached`` flag saying
-    whether the metrics were replayed rather than simulated. The flag
-    is stripped before anything lands in an envelope, so cold and warm
-    artifacts stay byte-identical.
+    Returns a flat dict: ``cycles``, per-component ``energy_*`` plus
+    ``energy_total`` (pJ). The cell computes directly; it is cheaper
+    than a simcache key and a verified read.
     """
     from ..olaccel.accelerator import OLAccelSimulator
 
-    cache = cache if cache is not None else get_active()
     cand = candidate if isinstance(candidate, Candidate) else Candidate.from_dict(candidate)
     if network not in MEMORY_TABLE:
         raise ConfigError(f"unknown network {network!r}")
-    cfg = cand.accel_config()
-    workload, digest = _workload(network, cand.ratio)
-    components = {
-        "cell": "explore",
-        "accelerator": cfg.name,
-        "accel_config": cfg,
-        "network": network,
-        "ratio": float(cand.ratio),
-        "fidelity_layers": fidelity_layers,
-        "workload_digest": digest,
-        "fault_plan": None,
-        "stats_schema": STATS_SCHEMA_VERSION,
-    }
-    cached = True  # unless compute() runs: a miss, a corrupt entry or --no-cache
-
-    def compute() -> Dict[str, float]:
-        nonlocal cached
-        cached = False
-        simulated = workload
-        if fidelity_layers is not None:
-            simulated = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
-        run = OLAccelSimulator(cfg).simulate_network(simulated)
-        doc = {"cycles": float(run.total_cycles)}
-        energy = run.energy_by_component()
-        for component, pj in energy.items():
-            doc[f"energy_{component}"] = float(pj)
-        doc["energy_total"] = float(sum(energy.values()))
-        return doc
-
-    value = cache.memoize(components, compute)
-    return {**value, "cached": cached}
+    workload = _workload(network, cand.ratio)
+    if fidelity_layers is not None:
+        workload = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
+    run = OLAccelSimulator(cand.accel_config()).simulate_network(workload)
+    doc = {"cycles": float(run.total_cycles)}
+    energy = run.energy_by_component()
+    for component, pj in energy.items():
+        doc[f"energy_{component}"] = float(pj)
+    doc["energy_total"] = float(sum(energy.values()))
+    return doc
 
 
 def accuracy_cell(
@@ -673,13 +663,11 @@ class ExploreRungResult:
 
 
 def _assemble_explore(plan: SweepPlan, records: Dict[str, Dict[str, Any]]) -> ExploreRungResult:
-    # The transient "cached" flag never reaches an assembled artifact:
-    # it differs between cold and warm runs by construction.
     result = ExploreRungResult(network=plan.params["network"], rung=plan.params["rung"])
     for spec in plan.cells:
         record = records.get(spec.cell_id)
         if record is not None and record.get("status") == "ok":
-            row = {k: v for k, v in record["result"].items() if k != "cached"}
+            row = dict(record["result"])
             row["cand_id"] = spec.cell_id
             result.rows.append(row)
         else:
@@ -693,21 +681,20 @@ def _assemble_explore(plan: SweepPlan, records: Dict[str, Dict[str, Any]]) -> Ex
 PLAN_ASSEMBLERS["explore"] = _assemble_explore
 
 
-def _execute_inline(plan: SweepPlan, obs: Registry) -> Dict[str, Dict[str, Any]]:
+def _execute_inline(
+    network: str, population: Sequence[Candidate], fidelity: Optional[int]
+) -> Dict[str, Dict[str, Any]]:
     """In-process execution (no run dir): same record shape as a sweep."""
-    from .resilience import CELL_RUNNERS
-
     records: Dict[str, Dict[str, Any]] = {}
-    for spec in plan.cells:
-        runner = CELL_RUNNERS[spec.kind]
+    for cand in population:
         try:
-            result = to_jsonable(runner(dict(spec.params)))
-            records[spec.cell_id] = {"status": "ok", "result": result}
+            result = explore_cell(network, cand, fidelity_layers=fidelity)
+            records[cand.cand_id] = {"status": "ok", "result": result}
         except Exception as exc:  # pragma: no cover - exercised via failure tests
-            records[spec.cell_id] = {
+            records[cand.cand_id] = {
                 "status": "failed",
                 "error": CellError(
-                    f"{type(exc).__name__}: {exc}", cell_id=spec.cell_id, kind="exception"
+                    f"{type(exc).__name__}: {exc}", cell_id=cand.cand_id, kind="exception"
                 ).to_dict(),
             }
     return records
@@ -868,7 +855,8 @@ def explore_run(
     if request.max_candidates is not None and len(cands) > request.max_candidates:
         capped = len(cands) - request.max_candidates
         cands = cands[: request.max_candidates]
-    feasible = [c for c in cands if c.area_mm2() <= budget]
+    area = {c.cand_id: c.area_mm2() for c in cands}
+    feasible = [c for c in cands if area[c.cand_id] <= budget]
     pruned = (len(cands) - len(feasible)) + capped
     obs.counter("explore/pruned").add(pruned)
 
@@ -881,42 +869,35 @@ def explore_run(
     population: List[Candidate] = list(feasible)
     final_rows: Dict[str, Dict[str, Any]] = {}
     failures: List[Dict[str, Any]] = []
-    evaluated = cache_hits = 0
+    evaluated = 0
 
     for rung, fidelity in enumerate(rungs):
         if not population:
             break
-        plan = _explore_plan(request, population, fidelity, rung, seed, budget)
         if root is not None:
+            plan = _explore_plan(request, population, fidelity, rung, seed, budget)
             _, _, _, records = execute_sweep(
                 plan, root / RUNGS_DIR / str(rung), jobs=jobs, retry=retry,
                 obs=obs, verify=verify, lease_ttl=lease_ttl, heartbeat_s=heartbeat_s,
             )
         else:
-            records = _execute_inline(plan, obs)
+            records = _execute_inline(request.network, population, fidelity)
 
         rung_rows: Dict[str, Dict[str, Any]] = {}
-        screen = rung == 0
-        for spec in plan.cells:
-            record = records.get(spec.cell_id)
-            ok = record is not None and record.get("status") == "ok"
-            hit = bool(ok and record["result"].get("cached"))
-            if screen:
-                cache_hits += 1 if hit else 0
-                evaluated += 0 if hit else 1
-            else:
-                obs.counter("explore/refine_cache_hits" if hit else "explore/refine_evaluated").add()
-            if ok:
-                rung_rows[spec.cell_id] = {
-                    k: v for k, v in record["result"].items() if k != "cached"
-                }
+        if rung == 0:
+            evaluated += len(population)
+        else:
+            obs.counter("explore/refine_evaluated").add(len(population))
+        for cand in population:
+            cell_id = cand.cand_id
+            record = records.get(cell_id)
+            if record is not None and record.get("status") == "ok":
+                rung_rows[cell_id] = record["result"]
             else:
                 obs.counter("explore/failed").add()
                 failures.append(
                     (record or {}).get("error")
-                    or CellError(
-                        "cell record missing", cell_id=spec.cell_id, kind="crash"
-                    ).to_dict()
+                    or CellError("cell record missing", cell_id=cell_id, kind="crash").to_dict()
                 )
 
         if rung < len(rungs) - 1:
@@ -938,7 +919,6 @@ def explore_run(
             final_rows = rung_rows
 
     obs.counter("explore/evaluated").add(evaluated)
-    obs.counter("explore/cache_hits").add(cache_hits)
 
     # Accuracy is shared across candidates with identical precision
     # coordinates — one memoized cell per distinct point.
@@ -964,7 +944,7 @@ def explore_run(
     rows: List[Dict[str, Any]] = []
     for cand in survivors:
         row = {"cand_id": cand.cand_id, **cand.to_dict()}
-        row["area_mm2"] = cand.area_mm2()
+        row["area_mm2"] = area[cand.cand_id]
         row.update(final_rows[cand.cand_id])
         acc = accuracy_points.get((cand.act_bits, cand.weight_bits, cand.ratio))
         row["accuracy"] = None if acc is None else acc.get("accuracy")

@@ -243,7 +243,7 @@ _SIMCACHE = "repro.harness.simcache"
 register_cell_runner("breakdown", _run_breakdown_cell, ("repro.harness.experiments",))
 register_cell_runner("fault_rate", _run_fault_rate_cell, ("repro.harness.faults", _SIMCACHE))
 register_cell_runner("fault_width", _run_fault_width_cell, ("repro.harness.faults", _SIMCACHE))
-register_cell_runner("explore", _run_explore_cell, ("repro.harness.explore", _SIMCACHE))
+register_cell_runner("explore", _run_explore_cell, ("repro.harness.explore",))
 
 
 def breakdown_plan(

@@ -31,10 +31,11 @@ stdlib writes it with its pure-Python encoder (its C encoder has no
 ``indent``), so :func:`_canonical_dumps` writes the same bytes with a
 direct recursive encoder over exact ``dict``/``list``/``str``/
 ``float``/``int``/``bool``/``None`` values and leaves any other document
-to ``json.dumps``. :func:`save_json` encodes each top-level value once
-and joins those pieces twice, without the digest to compute it and with
-it for the file. Nothing here imports numpy: :func:`to_jsonable`
-converts numpy values only once something else has loaded numpy.
+to ``json.dumps``. :func:`save_json` encodes a document of those types
+as it stands, and each top-level value once: it joins those pieces
+twice, without the digest to compute it and with it for the file.
+Nothing here imports numpy: :func:`to_jsonable` converts numpy values
+only once something else has loaded numpy.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def _encode(value: Any, indent: str) -> str:
 
     Raises ``TypeError`` for a value of any type but exact ``dict``,
     ``list``, ``str``, ``float``, ``int``, ``bool`` and ``None``, and for a
-    key that is not a string (``_escape`` rejects it; ``sorted`` rejects
-    mixed keys): ``json.dumps`` converts or rejects those itself.
+    key that is not exactly ``str``: ``json.dumps`` converts or rejects
+    those itself.
     """
     kind = type(value)
     if kind is float:
@@ -188,7 +189,10 @@ def _object(members: Dict[str, str], indent: str) -> str:
     if not members:
         return "{}"
     inner = indent + "  "
-    pairs = [_escape(key) + ": " + members[key] for key in sorted(members)]
+    keys = sorted(members)
+    if not all(type(key) is str for key in keys):
+        raise TypeError("not canonical JSON: a key that is not exactly str")
+    pairs = [_escape(key) + ": " + members[key] for key in keys]
     return "{" + inner + ("," + inner).join(pairs) + indent + "}"
 
 
@@ -224,22 +228,38 @@ def save_json(obj: Any, path: Union[str, Path], digest: bool = True) -> Path:
     :func:`load_json` verifies and strips. Non-dict payloads (bare
     lists/scalars) have nowhere to embed a digest and are written
     plain.
+
+    A document of plain JSON types is encoded as it stands, in one walk;
+    anything else goes through :func:`to_jsonable` first. The bytes are
+    the same either way, because :func:`_encode` accepts exact JSON
+    types only.
     """
-    doc = to_jsonable(obj)
-    if not (digest and isinstance(doc, dict)):
-        return atomic_write_text(_canonical_dumps(doc), path)
-    # Each top-level value is encoded once; the digest covers the members
-    # without it, and the file is the same members with it.
     try:
-        members = {key: _encode(value, "\n  ") for key, value in doc.items() if key != INTEGRITY_KEY}
-        body = _object(members, "\n")
+        text = _document_text(obj, digest)
     except (TypeError, RecursionError):
-        doc = dict(doc)
-        doc[INTEGRITY_KEY] = {"algo": "sha256", "digest": content_digest(doc)}
-        return atomic_write_text(_canonical_dumps(doc), path)
-    checksum = hashlib.sha256(body.encode()).hexdigest()
+        doc = to_jsonable(obj)
+        try:
+            text = _document_text(doc, digest)
+        except (TypeError, RecursionError):
+            if digest and isinstance(doc, dict):
+                doc = dict(doc)
+                doc[INTEGRITY_KEY] = {"algo": "sha256", "digest": content_digest(doc)}
+            text = _canonical_dumps(doc)
+    return atomic_write_text(text, path)
+
+
+def _document_text(doc: Any, digest: bool) -> str:
+    """:func:`save_json`'s text of ``doc``; raises where :func:`_encode` does.
+
+    Each top-level value is encoded once; the digest covers the members
+    without it, and the file is the same members with it.
+    """
+    if not (digest and type(doc) is dict):
+        return _encode(doc, "\n")
+    members = {key: _encode(value, "\n  ") for key, value in doc.items() if key != INTEGRITY_KEY}
+    checksum = hashlib.sha256(_object(members, "\n").encode()).hexdigest()
     members[INTEGRITY_KEY] = _encode({"algo": "sha256", "digest": checksum}, "\n  ")
-    return atomic_write_text(_object(members, "\n"), path)
+    return _object(members, "\n")
 
 
 def load_json(path: Union[str, Path], verify: bool = True) -> Any:

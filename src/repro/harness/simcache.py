@@ -3,12 +3,12 @@
 The sweep verbs are grids of pure cells — one (accelerator config,
 network workload, quant config, fault plan, seed) point each — and most
 cells are bit-identical across invocations. This module memoizes the
-cells that cost more to compute than to replay: fault cells
-(``faults``) and explore cost and accuracy cells (``explore``, whose
-``--accuracy quant`` cells score the trained minis). The analytic
-breakdown cells of ``run``/``compare`` compute directly, because their
-cycle models are cheaper than a key, a copy or a verified disk read
-(docs/PERFORMANCE.md):
+cells that cost more to compute than to replay, and only those: fault
+cells (``faults``) and explore accuracy cells (``explore-accuracy``,
+whose ``--accuracy quant`` cells score the trained minis). The analytic
+breakdown cells of ``run``/``compare`` and the explore cost cells
+compute directly, because their cycle models are cheaper than a key, a
+copy or a verified disk read (docs/PERFORMANCE.md):
 
 - **Key** — a SHA-256 digest of the cell's canonical JSON *components*
   (accelerator id + full config dataclass, layer specs, quant/outlier
@@ -16,7 +16,7 @@ cycle models are cheaper than a key, a copy or a verified disk read
   ``code_version`` salt (:data:`CODE_VERSION`); bump the salt whenever
   simulator semantics change and every old entry silently misses.
 - **Value** — the cell's serialized result (a fault-sweep row, an
-  explore cycles/energy dict), stored one file per key under
+  explore accuracy dict), stored one file per key under
   ``<root>/<key[:2]>/<key>.json`` through the PR 4 artifact layer:
   atomic temp+fsync+rename writes with an embedded ``__integrity__``
   digest, verified on every read. A corrupt or truncated entry is a

@@ -36,6 +36,8 @@ Energy model (components as in Figs. 11-13):
 
 from __future__ import annotations
 
+from typing import Dict, NamedTuple
+
 from ..arch.chunks import WEIGHT_CHUNK_BITS
 from ..arch.energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
 from ..arch.simulator import AnalyticSimulator
@@ -53,11 +55,123 @@ from .pe_group import (
 )
 from .tribuffer import accumulation_drain_cycles
 
-__all__ = ["OLAccelSimulator"]
+__all__ = ["LayerWork", "OLAccelSimulator", "layer_work"]
 
 #: Small SRAM capacities (bits) used for per-access energy of local buffers.
 _GROUP_BUFFER_BITS = 2 * 1024 * 8
 _WEIGHT_BUFFER_BITS = 16 * 1024 * 8
+
+
+class LayerWork(NamedTuple):
+    """The terms of one layer that its workload and the outlier path fix.
+
+    They depend on the layer and on the config fields in
+    :func:`layer_work`'s key, not on the group count, the buffers, the
+    accumulator or the dispatch model, so every design that shares
+    those fields shares them.
+    """
+
+    n_passes: float
+    multi_outlier_fraction: float
+    run_cycles: float
+    skip_cycles: float
+    broadcasts: float
+    outlier_broadcasts: float
+    outlier_acts: float
+    fifo_bits: float
+
+
+#: Memo of :func:`layer_work`. It holds numbers only and starts over when
+#: full, which bounds it.
+_WORK_MEMO: Dict[tuple, LayerWork] = {}
+_WORK_MEMO_MAXSIZE = 4096
+
+
+def layer_work(layer: LayerWorkload, cfg: OLAccelConfig) -> LayerWork:
+    """Passes, broadcasts and outlier-path load of ``layer`` on ``cfg``.
+
+    Memoized on every field the computation reads, which is cheaper than
+    hashing the whole frozen layer.
+    """
+    key = (
+        layer.macs,
+        layer.input_count,
+        layer.act_density,
+        layer.act_outlier_ratio,
+        layer.weight_outlier_ratio,
+        layer.is_first,
+        layer.first_weight_bits,
+        cfg.lanes,
+        cfg.raw_input_bits,
+        cfg.has_outlier_mac,
+        cfg.zero_skip,
+        cfg.n_outlier_groups,
+        cfg.act_outlier_bits,
+    )
+    work = _WORK_MEMO.get(key)
+    if work is None:
+        if len(_WORK_MEMO) >= _WORK_MEMO_MAXSIZE:
+            _WORK_MEMO.clear()
+        work = _WORK_MEMO[key] = _layer_work(layer, cfg)
+    return work
+
+
+def _layer_work(layer: LayerWorkload, cfg: OLAccelConfig) -> LayerWork:
+    lanes = cfg.lanes
+    # One broadcast drives `lanes` output channels, so the broadcast
+    # count scales inversely with group width; the activation *chunk*
+    # stays A(1x1x16) regardless (Fig. 5).
+    slots = layer.macs / lanes
+    chunk_len = 16
+    n_passes = slots / chunk_len
+    if layer.is_first:
+        factor = dense_pass_factor(cfg.raw_input_bits, layer.first_weight_bits)
+        multi_outlier_fraction = 0.0
+        run_cycles = slots * factor
+        skip_cycles = 0.0
+        broadcasts = slots * factor
+        outlier_broadcasts = 0.0
+        outlier_acts = 0.0
+        fifo_bits = 0.0
+    else:
+        # The storage format is unchanged by ablations.
+        multi_outlier_fraction = multi_outlier_probability(layer.weight_outlier_ratio, lanes)
+        if cfg.has_outlier_mac:
+            p_extra = multi_outlier_fraction
+        else:
+            # Ablation: no 17th MAC — any outlier in the chunk forces the
+            # two-cycle MSB pass.
+            p_extra = single_or_more_outlier_probability(layer.weight_outlier_ratio, lanes)
+        if cfg.zero_skip:
+            d_norm = layer.act_density * (1.0 - layer.act_outlier_ratio)
+        else:
+            # Ablation: no skip logic — every lane slot is issued.
+            d_norm = 1.0
+        costs = expected_pass_costs(d_norm, p_extra, chunk_len)
+        ow = outlier_work(
+            input_activations=layer.input_count,
+            act_density=layer.act_density,
+            act_outlier_ratio=layer.act_outlier_ratio,
+            broadcast_slots_per_input=layer.slots_per_input,
+            n_outlier_groups=cfg.n_outlier_groups,
+            value_bits=cfg.act_outlier_bits,
+        )
+        run_cycles = n_passes * costs.run_cycles
+        skip_cycles = n_passes * costs.skip_cycles
+        broadcasts = n_passes * costs.broadcasts
+        outlier_broadcasts = ow.broadcasts
+        outlier_acts = ow.outlier_activations
+        fifo_bits = ow.fifo_bits
+    return LayerWork(
+        n_passes,
+        multi_outlier_fraction,
+        run_cycles,
+        skip_cycles,
+        broadcasts,
+        outlier_broadcasts,
+        outlier_acts,
+        fifo_bits,
+    )
 
 
 class OLAccelSimulator(AnalyticSimulator):
@@ -91,52 +205,16 @@ class OLAccelSimulator(AnalyticSimulator):
         lanes = cfg.lanes
         n_groups = self._n_groups
         is_first = layer.is_first
-
-        # -- work: passes, broadcasts, outlier-path load ----------------------
-        # One broadcast drives `lanes` output channels, so the broadcast
-        # count scales inversely with group width; the activation *chunk*
-        # stays A(1x1x16) regardless (Fig. 5).
-        slots = layer.macs / lanes
-        chunk_len = 16
-        n_passes = slots / chunk_len
-        if is_first:
-            factor = dense_pass_factor(cfg.raw_input_bits, layer.first_weight_bits)
-            multi_outlier_fraction = 0.0
-            run_cycles = slots * factor
-            skip_cycles = 0.0
-            broadcasts = slots * factor
-            outlier_broadcasts = 0.0
-            outlier_acts = 0.0
-            fifo_bits = 0.0
-        else:
-            # The storage format is unchanged by ablations.
-            multi_outlier_fraction = multi_outlier_probability(layer.weight_outlier_ratio, lanes)
-            if cfg.has_outlier_mac:
-                p_extra = multi_outlier_fraction
-            else:
-                # Ablation: no 17th MAC — any outlier in the chunk forces the
-                # two-cycle MSB pass.
-                p_extra = single_or_more_outlier_probability(layer.weight_outlier_ratio, lanes)
-            if cfg.zero_skip:
-                d_norm = layer.act_density * (1.0 - layer.act_outlier_ratio)
-            else:
-                # Ablation: no skip logic — every lane slot is issued.
-                d_norm = 1.0
-            costs = expected_pass_costs(d_norm, p_extra, chunk_len)
-            ow = outlier_work(
-                input_activations=layer.input_count,
-                act_density=layer.act_density,
-                act_outlier_ratio=layer.act_outlier_ratio,
-                broadcast_slots_per_input=layer.slots_per_input,
-                n_outlier_groups=cfg.n_outlier_groups,
-                value_bits=cfg.act_outlier_bits,
-            )
-            run_cycles = n_passes * costs.run_cycles
-            skip_cycles = n_passes * costs.skip_cycles
-            broadcasts = n_passes * costs.broadcasts
-            outlier_broadcasts = ow.broadcasts
-            outlier_acts = ow.outlier_activations
-            fifo_bits = ow.fifo_bits
+        (
+            n_passes,
+            multi_outlier_fraction,
+            run_cycles,
+            skip_cycles,
+            broadcasts,
+            outlier_broadcasts,
+            outlier_acts,
+            fifo_bits,
+        ) = layer_work(layer, cfg)
 
         # -- cycles -----------------------------------------------------------
         work = run_cycles + skip_cycles
@@ -198,20 +276,21 @@ class OLAccelSimulator(AnalyticSimulator):
         logic += skip_cycles * self.energy.params.ctrl_pj_per_op * lanes
         energy = EnergyBreakdown(dram, buffer, local, logic)
 
-        self.obs.count(
-            layer.name,
-            {
-                "cycles": cycles,
-                "run_cycles": run_cycles,
-                "skip_cycles": skip_cycles,
-                "idle_cycles": idle,
-                "outlier_cycles": outlier_cycles,
-                "broadcasts": broadcasts,
-                "outlier_broadcasts": outlier_broadcasts,
-                "passes": n_passes,
-                "energy_pj": energy.total,
-            },
-        )
+        if self.obs.enabled:
+            self.obs.count(
+                layer.name,
+                {
+                    "cycles": cycles,
+                    "run_cycles": run_cycles,
+                    "skip_cycles": skip_cycles,
+                    "idle_cycles": idle,
+                    "outlier_cycles": outlier_cycles,
+                    "broadcasts": broadcasts,
+                    "outlier_broadcasts": outlier_broadcasts,
+                    "passes": n_passes,
+                    "energy_pj": energy.total,
+                },
+            )
         return LayerStats(
             layer_name=layer.name,
             cycles=cycles,

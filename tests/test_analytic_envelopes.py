@@ -8,6 +8,9 @@ five paper networks, the fig14 ratio sweep without accuracy, and the
 default ``explore resnet18`` search with ``accuracy="none"`` (whose
 bytes depend on no random draw). The first six equal the
 ``analytic_sweep`` fingerprints in ``benchmarks/e2e/expected.json``.
+Two more explore digests pin the default proxy-accuracy search and a
+successive-halving search, whose screen rung simulates only the first
+``screen_layers`` layers.
 
 The remaining digests pin the branches those envelopes never take: the
 ablation switches and group widths other than 16 (the ablation and
@@ -57,6 +60,8 @@ BREAKDOWN_DIGESTS = {
 }
 FIG14_DIGEST = "234d2e236ae829134794df3dc3aee8b2b8bcd2a39bb337c269b931b25b0dd173"
 EXPLORE_RESNET18_DIGEST = "a660a5878171f2c7147331a622d892fdd7e67bc920aa550554efa253d6556a57"
+EXPLORE_RESNET18_PROXY_DIGEST = "2d247492159e33dd7cf797ce7cf3992c279be21b7e6a4aba2526c9e05d785681"
+EXPLORE_RESNET18_HALVING_DIGEST = "57cd30a91f7a1a9d7fa6ac1039ef0eb946af565a15e62e784ca79c4b97f60568"
 ABLATION_DIGESTS = {
     "alexnet": "39e1b974c2f1c87ae971d59f2446d6ddf6933eb88b707d91b9fd071c846427e8",
     "resnet18": "aa43f91fbeeb210ecfc306546eeafae5029936fb7a07dc7747e957f3359f8cf8",
@@ -145,6 +150,16 @@ def test_fig14_envelope_digest():
 def test_explore_envelope_digest(rootless_cache):
     envelope = explore_run(ExploreRequest("resnet18", accuracy="none"))[1]
     assert digest(envelope) == EXPLORE_RESNET18_DIGEST
+
+
+def test_explore_proxy_accuracy_envelope_digest(rootless_cache):
+    envelope = explore_run(ExploreRequest("resnet18"))[1]
+    assert digest(envelope) == EXPLORE_RESNET18_PROXY_DIGEST
+
+
+def test_explore_halving_envelope_digest(rootless_cache):
+    request = ExploreRequest("resnet18", strategy="halving", accuracy="none")
+    assert digest(explore_run(request)[1]) == EXPLORE_RESNET18_HALVING_DIGEST
 
 
 @pytest.mark.parametrize("network", sorted(ABLATION_DIGESTS))

@@ -87,6 +87,33 @@ class TestFaultSweepValues:
         assert args.widths == [2, 64]
 
 
+class TestExploreSpaceValues:
+    """A design space whose candidates would share a cand_id (a repeated
+    value, or ratios equal in their %g form) exits 2 before anything
+    is simulated or any run dir exists."""
+
+    BASE = ["--clusters", "4", "--groups", "6", "--buffers-kib", "96", "--acc-bits", "16"]
+    BAD = [
+        (["--clusters", "4", "4"], "'clusters' repeats a value"),
+        (["--ratios", "0.01", "0.01"], "'ratios' repeats a value"),
+        (["--ratios", "0.01", "0.0100000001"], "'ratios' repeats a value"),
+    ]
+
+    @pytest.mark.parametrize("with_run_dir", [False, True], ids=["plain", "run-dir"])
+    @pytest.mark.parametrize("flags,message", BAD, ids=["clusters", "ratios", "ratio-ids"])
+    def test_colliding_candidates_rejected(self, flags, message, with_run_dir, capsys, tmp_path):
+        argv = ["explore", "alexnet", *self.BASE, "--ratios", "0.01", "--accuracy", "none"]
+        argv += flags  # a repeated flag replaces the earlier value
+        run_dir = tmp_path / "r"
+        if with_run_dir:
+            argv += ["--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Pareto frontier" not in captured.out
+        assert not run_dir.exists()
+
+
 class TestRunDirUsage:
     def test_run_dir_requires_sweepable_experiment(self, capsys, tmp_path):
         assert main(["run", "fig1", "--run-dir", str(tmp_path / "r")]) == 2

@@ -1,11 +1,10 @@
 """Tests for the design-space explorer (docs/EXPLORE.md).
 
 Covers the search space and area budget, the strategy interface, the
-Pareto archive, the simcache-keyed candidate/accuracy cells, the exact
-``explore/*`` counter reconciliation, and the headline guarantee:
-cold, warm-cache and kill+resume searches emit byte-identical
-``repro.explore/v1`` envelopes, with warm re-exploration much faster
-than cold.
+Pareto archive, the directly computed cost cells and simcache-keyed
+accuracy cells, the exact ``explore/*`` counter reconciliation, and the
+headline guarantee: cold, warm-cache and kill+resume searches emit
+byte-identical ``repro.explore/v1`` envelopes.
 """
 
 from __future__ import annotations
@@ -96,6 +95,14 @@ class TestSpaceAndArea:
             DesignSpace.from_dict({"voltage": [1]})
         with pytest.raises(ConfigError):
             DesignSpace.from_dict({"clusters": []})
+
+    def test_space_rejects_values_that_share_a_cand_id(self):
+        with pytest.raises(ConfigError, match="'acc_bits' repeats"):
+            DesignSpace.from_dict({"acc_bits": [16, 16.0]})
+        with pytest.raises(ConfigError, match="'ratios' repeats"):
+            DesignSpace.from_dict({"ratios": [0.01, 0.0100000001]})
+        with pytest.raises(ConfigError, match="'groups' repeats"):
+            DesignSpace(groups=(6, 6))
 
     def test_candidate_id_is_deterministic_and_fs_safe(self):
         cand = Candidate(8, 6, 384, 0.03, 24, 4, 4)
@@ -222,41 +229,34 @@ class TestPareto:
 
 
 class TestCells:
-    def test_explore_cell_reports_cache_provenance(self, tmp_path):
+    def test_explore_cell_computes_and_stores_nothing(self, tmp_path):
         cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
-        cold = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
-        warm = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
-        assert cold["cached"] is False and warm["cached"] is True
-        stripped = lambda row: {k: v for k, v in row.items() if k != "cached"}
-        assert stripped(cold) == stripped(warm)
-        assert cold["cycles"] > 0
-        assert cold["energy_total"] == pytest.approx(
-            sum(v for k, v in cold.items() if k.startswith("energy_") and k != "energy_total")
+        try:
+            set_active(SimCache(root=tmp_path))
+            first = explore_cell("alexnet", cand)
+            again = explore_cell("alexnet", cand)
+        finally:
+            set_active(None)
+        assert first == again and "cached" not in first
+        assert not list(tmp_path.rglob("*.json"))
+        assert first["cycles"] > 0
+        assert first["energy_total"] == pytest.approx(
+            sum(v for k, v in first.items() if k.startswith("energy_") and k != "energy_total")
         )
 
-    def test_explore_cell_fidelity_truncates_the_workload(self, fresh_cache):
+    def test_explore_cell_fidelity_truncates_the_workload(self):
         cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
-        full = explore_cell("alexnet", cand, cache=fresh_cache)
-        screen = explore_cell("alexnet", cand, fidelity_layers=2, cache=fresh_cache)
-        assert screen["cached"] is False  # a different fidelity is a different key
+        full = explore_cell("alexnet", cand)
+        screen = explore_cell("alexnet", cand, fidelity_layers=2)
         assert screen["cycles"] < full["cycles"]
 
-    def test_explore_cell_accepts_param_dicts(self, fresh_cache):
+    def test_explore_cell_accepts_param_dicts(self):
         cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
-        via_dict = explore_cell("alexnet", cand.to_dict(), cache=fresh_cache)
-        via_obj = explore_cell("alexnet", cand, cache=fresh_cache)
+        via_dict = explore_cell("alexnet", cand.to_dict())
+        via_obj = explore_cell("alexnet", cand)
         assert via_dict["cycles"] == via_obj["cycles"]
         with pytest.raises(ConfigError):
-            explore_cell("lenet5", cand, cache=fresh_cache)
-
-    def test_corrupt_entry_counts_as_evaluated(self, tmp_path):
-        cand = Candidate(4, 6, 96, 0.03, 24, 4, 4)
-        cold = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
-        (entry,) = tmp_path.glob("*/*.json")
-        entry.write_text(entry.read_text()[:40])  # torn write
-        with pytest.warns(RuntimeWarning, match="integrity"):
-            again = explore_cell("alexnet", cand, cache=SimCache(root=tmp_path))
-        assert again == cold  # recomputed, so not a hit
+            explore_cell("lenet5", cand)
 
     def test_accuracy_proxy_is_deterministic_and_orders_precision(self, fresh_cache):
         a = accuracy_cell("alexnet", 4, 4, 0.03, mode="proxy", seed=7, cache=fresh_cache)
@@ -290,9 +290,7 @@ def _counter(obs, name):
 
 def _assert_reconciles(obs):
     assert _counter(obs, "explore/candidates") == (
-        _counter(obs, "explore/evaluated")
-        + _counter(obs, "explore/pruned")
-        + _counter(obs, "explore/cache_hits")
+        _counter(obs, "explore/evaluated") + _counter(obs, "explore/pruned")
     )
 
 
@@ -306,23 +304,21 @@ class TestExploreRun:
         assert result.pruned + len(result.evaluated) == result.candidates
         assert envelope["schema"] == EXPLORE_SCHEMA
 
-    def test_each_cost_cell_is_keyed_once(self, fresh_cache, tmp_path, monkeypatch):
+    def test_cost_cells_are_never_keyed(self, fresh_cache, tmp_path, monkeypatch):
         from repro.harness import simcache
 
-        set_active(SimCache(root=tmp_path))  # the warm pass replays from disk
+        set_active(SimCache(root=tmp_path))
         keyed = []
         real = simcache.cache_key
         monkeypatch.setattr(
             simcache, "cache_key", lambda *args, **kw: keyed.append(1) or real(*args, **kw)
         )
-        for label in ("cold", "warm"):
+        for label in ("first", "second"):
             obs = Registry()
-            keyed.clear()
-            explore_run(_request(strategy="grid", accuracy="none"), obs=obs)
+            result, _ = explore_run(_request(strategy="grid", accuracy="none"), obs=obs)
             _assert_reconciles(obs)
-            cells = _counter(obs, "explore/evaluated") + _counter(obs, "explore/cache_hits")
-            assert cells > 0 and len(keyed) == cells, label
-        assert _counter(obs, "explore/evaluated") == 0  # the warm pass only hit
+            assert _counter(obs, "explore/evaluated") == len(result.evaluated) > 0, label
+        assert keyed == [] and not list(tmp_path.rglob("*.json"))
 
     def test_seeded_search_leaves_unseeded_drivers_alone(self, fresh_cache):
         # An unseeded driver run after a seeded search keeps its own
@@ -412,7 +408,6 @@ class TestReproducibility:
             set_active(SimCache(root=cache_dir))
             obs_cold = Registry()
             _, cold = explore_run(_request(), obs=obs_cold)
-            assert _counter(obs_cold, "explore/cache_hits") == 0
 
             # A fresh SimCache instance on the warm directory.
             set_active(SimCache(root=cache_dir))
@@ -423,8 +418,8 @@ class TestReproducibility:
 
         assert canonical_envelope_bytes(cold) == canonical_envelope_bytes(warm)
         _assert_reconciles(obs_warm)
-        assert _counter(obs_warm, "explore/evaluated") == 0
-        assert _counter(obs_warm, "explore/cache_hits") == len(cold["result"]["evaluated"])
+        # Cost cells compute on every run; only the accuracy cells replay.
+        assert _counter(obs_warm, "explore/evaluated") == len(cold["result"]["evaluated"])
 
     def test_inline_and_run_dir_envelopes_agree(self, tmp_path, fresh_cache):
         _, inline = explore_run(_request())

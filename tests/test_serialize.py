@@ -225,6 +225,11 @@ class Color(IntEnum):
     RED = 1
 
 
+class StrKey(str):
+    def __str__(self):
+        return "converted"
+
+
 class TestCanonicalJson:
     @settings(max_examples=300, deadline=None)
     @given(TREES)
@@ -285,6 +290,32 @@ class TestCanonicalJson:
     def test_save_json_bytes_unchanged(self, tmp_path, obj, digest):
         path = save_json(obj, tmp_path / "doc.json", digest=digest)
         assert path.read_text() == old_save_text(obj, digest)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"tuple": (1, (2.5, "x")), "list": [()]},
+            {"np": [np.float64(0.1), np.int64(3)], "nested": {"x": np.float32(0.5)}},
+            {"stats": EnergyBreakdown(1.0, 2.0, 3.0, 4.0), "plain": 1},
+            {1: "int", 2: {3: "keys"}},
+            {StrKey("k"): "a key that converts"},
+        ],
+        ids=["tuples", "numpy-scalars", "dataclass", "int-keys", "str-subclass-key"],
+    )
+    def test_save_json_one_walk_writes_the_converted_bytes(self, tmp_path, obj):
+        """A document of other types takes the to_jsonable path, so it
+        writes what converting first wrote."""
+        path = save_json(obj, tmp_path / "doc.json")
+        assert path.read_text() == old_save_text(obj)
+
+    def test_save_json_of_a_self_reference_raises_as_converting_did(self, tmp_path):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            old_save_text({"loop": loop})
+        with pytest.raises(RecursionError):
+            save_json({"loop": loop}, tmp_path / "doc.json")
+        assert not list(tmp_path.iterdir())
 
     def test_committed_baseline_still_verifies(self, tmp_path):
         committed = REPO / "benchmarks" / "BENCH_BASELINE_SMOKE.json"

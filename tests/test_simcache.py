@@ -87,22 +87,22 @@ def test_cache_key_flips_on_every_component_and_salt():
     assert cache_key(base, code_version=CODE_VERSION + "-next") != key
 
 
-def test_explore_cell_key_flips_on_accelerator_config(tmp_path):
-    # two candidates that differ only in the accumulator width differ
-    # only through their accelerator config — distinct cells, two
-    # misses, zero hits
+def test_explore_cells_bypass_the_cache(tmp_path):
+    # explore cost cells compute directly: two candidates that differ
+    # only in the accumulator width differ in energy, and an active
+    # disk-backed cache sees no lookup and stores nothing
     obs = Registry()
-    cache = SimCache(root=tmp_path, obs=obs)
-    wide, narrow = Candidate(8, 6, 384, 0.03, 24, 4, 4), Candidate(8, 6, 384, 0.03, 16, 4, 4)
-    assert wide.accel_config() != narrow.accel_config()
-    explore_cell("alexnet", wide, cache=cache)
-    explore_cell("alexnet", narrow, cache=cache)
-    assert _snap(obs, "misses") == 2
-    assert _snap(obs, "hits") == 0
-    # the same cell again is a pure hit
-    assert explore_cell("alexnet", wide, cache=cache)["cached"]
-    assert _snap(obs, "misses") == 2
-    assert _snap(obs, "hits") == 1
+    set_active(SimCache(root=tmp_path, obs=obs))
+    try:
+        wide, narrow = Candidate(8, 6, 384, 0.03, 24, 4, 4), Candidate(8, 6, 384, 0.03, 16, 4, 4)
+        assert wide.accel_config() != narrow.accel_config()
+        assert explore_cell("alexnet", wide) != explore_cell("alexnet", narrow)
+        assert explore_cell("alexnet", wide) == explore_cell("alexnet", wide)
+    finally:
+        set_active(None)
+    assert _snap(obs, "lookups") == 0
+    assert _snap(obs, "stores") == 0
+    assert not list(tmp_path.rglob("*.json"))
 
 
 def test_fault_cells_key_on_the_full_fault_plan(tmp_path):
