@@ -13,7 +13,25 @@ from .energy import EnergyModel
 from .stats import RunStats
 from .workload import NetworkWorkload
 
-__all__ = ["AnalyticSimulator"]
+__all__ = ["AnalyticSimulator", "larger"]
+
+
+def larger(a, b):
+    """``a if a > b else b``, per element when an operand is an array.
+
+    On floats this is that expression. An array comparison gives an
+    array of flags, and ``numpy.where(a > b, a, b)`` makes the same
+    choice for each element, signed zeros and NaNs included. numpy is
+    imported only then, so scalar callers never load it.
+    """
+    flags = a > b
+    if flags is True:
+        return a
+    if flags is False:
+        return b
+    import numpy
+
+    return numpy.where(flags, a, b)
 
 
 class AnalyticSimulator:
@@ -21,7 +39,9 @@ class AnalyticSimulator:
 
     ``buffer_bits`` is the on-chip activation buffer a layer spills past;
     ``io_bits`` is the width at which the network's output is written
-    back to DRAM. ``obs`` defaults to the disabled registry.
+    back to DRAM. ``obs`` defaults to the disabled registry. In a batch
+    of designs (``OLAccelSimulator.batch``) both widths are float64
+    vectors, one entry per design.
     """
 
     def __init__(self, config, energy: EnergyModel, obs: Registry, buffer_bits: int, io_bits: int):
@@ -38,8 +58,7 @@ class AnalyticSimulator:
         """Weights stream in once; activations past the buffer go out and
         back; the first layer also reads the raw network input."""
         dram_bits = weight_bits
-        spill = in_bits + out_bits - self._buffer_bits
-        dram_bits += 2.0 * (spill if spill > 0.0 else 0.0)
+        dram_bits += 2.0 * larger(in_bits + out_bits - self._buffer_bits, 0.0)
         if is_first:
             dram_bits += in_bits
         return self._dram_pj_per_bit * dram_bits

@@ -126,7 +126,9 @@ class DesignSpace:
     (8 clusters x 6 groups, 384 KiB-class buffer, 3% outliers, 24-bit
     accumulators, 4-bit operands); outlier activations stay at 16 bits
     — the paper's comparison precision — so accuracy depends only on
-    the normal-path widths and the ratio.
+    the normal-path widths and the ratio. Every value must be an
+    integer (``4.0`` is taken as 4) and every ratio must lie in [0, 1];
+    anything else is a :class:`ConfigError` before a search starts.
     """
 
     clusters: Tuple[int, ...] = (4, 6, 8, 10)
@@ -138,10 +140,11 @@ class DesignSpace:
     weight_bits: Tuple[int, ...] = (4,)
 
     def __post_init__(self):
-        # A repeated value, or two ratios that print alike, would give two
-        # candidates one cand_id: one cell id, one frontier row.
         for f in fields(self):
-            values = getattr(self, f.name)
+            values = tuple(_dimension_value(f.name, v) for v in getattr(self, f.name))
+            object.__setattr__(self, f.name, values)
+            # A repeated value, or two ratios that print alike, would give
+            # two candidates one cand_id: one cell id, one frontier row.
             shown = [f"{v:g}" for v in values] if f.name == "ratios" else values
             if len(set(shown)) != len(values):
                 raise ConfigError(
@@ -164,14 +167,26 @@ class DesignSpace:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown design-space dimension(s): {', '.join(sorted(unknown))}")
-        kwargs = {
-            name: tuple(float(v) if name == "ratios" else int(v) for v in values)
-            for name, values in doc.items()
-        }
-        for name, values in kwargs.items():
-            if not values:
-                raise ConfigError(f"design-space dimension {name!r} must be non-empty")
-        return DesignSpace(**kwargs)
+        for name, values in doc.items():
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"design-space dimension {name!r} must be a non-empty list")
+        return DesignSpace(**doc)
+
+
+def _dimension_value(name: str, value: Any) -> Union[int, float]:
+    """``value`` as the number dimension ``name`` holds: an outlier ratio
+    in [0, 1], or else an integer (``4.0`` is 4; ``4.7`` is refused)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if name == "ratios":
+        if not 0.0 <= number <= 1.0:
+            raise ConfigError(f"design-space dimension 'ratios' takes values in [0, 1], got {value!r}")
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"design-space dimension {name!r} takes integers, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -420,6 +435,18 @@ def _workload(network: str, ratio: float) -> NetworkWorkload:
     return workload
 
 
+def _cell_workload(
+    network: str, ratio: float, fidelity_layers: Optional[int]
+) -> NetworkWorkload:
+    """The workload a cost cell simulates: all of it, or its first layers."""
+    if network not in MEMORY_TABLE:
+        raise ConfigError(f"unknown network {network!r}")
+    workload = _workload(network, ratio)
+    if fidelity_layers is not None:
+        workload = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
+    return workload
+
+
 def explore_cell(
     network: str,
     candidate: Union[Candidate, Dict[str, Any]],
@@ -429,16 +456,13 @@ def explore_cell(
 
     Returns a flat dict: ``cycles``, per-component ``energy_*`` plus
     ``energy_total`` (pJ). The cell computes directly; it is cheaper
-    than a simcache key and a verified read.
+    than a simcache key and a verified read. The in-process search
+    (:func:`_execute_inline`) returns the same dicts from batched runs.
     """
     from ..olaccel.accelerator import OLAccelSimulator
 
     cand = candidate if isinstance(candidate, Candidate) else Candidate.from_dict(candidate)
-    if network not in MEMORY_TABLE:
-        raise ConfigError(f"unknown network {network!r}")
-    workload = _workload(network, cand.ratio)
-    if fidelity_layers is not None:
-        workload = NetworkWorkload(workload.name, workload.layers[:fidelity_layers])
+    workload = _cell_workload(network, cand.ratio, fidelity_layers)
     run = OLAccelSimulator(cand.accel_config()).simulate_network(workload)
     doc = {"cycles": float(run.total_cycles)}
     energy = run.energy_by_component()
@@ -681,22 +705,68 @@ def _assemble_explore(plan: SweepPlan, records: Dict[str, Dict[str, Any]]) -> Ex
 PLAN_ASSEMBLERS["explore"] = _assemble_explore
 
 
+def _failed_record(cand: Candidate, exc: Exception) -> Dict[str, Any]:
+    return {
+        "status": "failed",
+        "error": CellError(
+            f"{type(exc).__name__}: {exc}", cell_id=cand.cand_id, kind="exception"
+        ).to_dict(),
+    }
+
+
 def _execute_inline(
     network: str, population: Sequence[Candidate], fidelity: Optional[int]
 ) -> Dict[str, Dict[str, Any]]:
-    """In-process execution (no run dir): same record shape as a sweep."""
+    """In-process execution (no run dir): the records a sweep of
+    :func:`explore_cell` cells would hold.
+
+    Candidates at one ratio share one workload, so each ratio's
+    candidates run as one :meth:`OLAccelSimulator.batch`. A candidate
+    whose simulator fails to build gets its own failed record, and an
+    error in the batched run fails every candidate in it, as the
+    layer-only terms it comes from would fail each alone.
+    """
+    from ..olaccel.accelerator import OLAccelSimulator
+
     records: Dict[str, Dict[str, Any]] = {}
+    by_ratio: Dict[float, List[Candidate]] = {}
     for cand in population:
+        by_ratio.setdefault(cand.ratio, []).append(cand)
+    for ratio, cands in by_ratio.items():
         try:
-            result = explore_cell(network, cand, fidelity_layers=fidelity)
-            records[cand.cand_id] = {"status": "ok", "result": result}
-        except Exception as exc:  # pragma: no cover - exercised via failure tests
-            records[cand.cand_id] = {
-                "status": "failed",
-                "error": CellError(
-                    f"{type(exc).__name__}: {exc}", cell_id=cand.cand_id, kind="exception"
-                ).to_dict(),
-            }
+            workload = _cell_workload(network, ratio, fidelity)
+        except Exception as exc:
+            records.update((cand.cand_id, _failed_record(cand, exc)) for cand in cands)
+            continue
+        built: List[Candidate] = []
+        sims = []
+        for cand in cands:
+            try:
+                sims.append(OLAccelSimulator(cand.accel_config()))
+            except Exception as exc:
+                records[cand.cand_id] = _failed_record(cand, exc)
+            else:
+                built.append(cand)
+        if not built:
+            continue
+        try:
+            run = OLAccelSimulator.batch(sims).simulate_network(workload)
+        except Exception as exc:
+            records.update((cand.cand_id, _failed_record(cand, exc)) for cand in built)
+            continue
+        # Split the vectors into explore_cell's dicts: per candidate, the
+        # same sum over layers and over components, of Python floats.
+        energy = run.energy_by_component()
+        keys = [f"energy_{component}" for component in energy]
+        columns = zip(
+            zip(*(layer.cycles.tolist() for layer in run.layers)),
+            zip(*(pj.tolist() for pj in energy.values())),
+        )
+        for cand, (layer_cycles, parts) in zip(built, columns):
+            doc = {"cycles": float(sum(layer_cycles))}
+            doc.update(zip(keys, parts))
+            doc["energy_total"] = float(sum(parts))
+            records[cand.cand_id] = {"status": "ok", "result": doc}
     return records
 
 

@@ -36,14 +36,15 @@ Energy model (components as in Figs. 11-13):
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple
+import copy
+from typing import Dict, NamedTuple, Sequence
 
 from ..arch.chunks import WEIGHT_CHUNK_BITS
 from ..arch.energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyModel
-from ..arch.simulator import AnalyticSimulator
+from ..arch.simulator import AnalyticSimulator, larger
 from ..arch.stats import LayerStats
 from ..arch.workload import LayerWorkload
-from ..obs import Registry
+from ..obs import NULL_REGISTRY, Registry
 from .cluster import load_balance_efficiency
 from .config import OLAccelConfig, olaccel16
 from .outlier_group import outlier_work
@@ -66,9 +67,9 @@ class LayerWork(NamedTuple):
     """The terms of one layer that its workload and the outlier path fix.
 
     They depend on the layer and on the config fields in
-    :func:`layer_work`'s key, not on the group count, the buffers, the
-    accumulator or the dispatch model, so every design that shares
-    those fields shares them.
+    :func:`layer_work`'s key, not on the cluster or group counts, the
+    buffers, the accumulator or the dispatch model, so every design that
+    shares those fields shares them.
     """
 
     n_passes: float
@@ -90,8 +91,10 @@ _WORK_MEMO_MAXSIZE = 4096
 def layer_work(layer: LayerWorkload, cfg: OLAccelConfig) -> LayerWork:
     """Passes, broadcasts and outlier-path load of ``layer`` on ``cfg``.
 
-    Memoized on every field the computation reads, which is cheaper than
-    hashing the whole frozen layer.
+    Memoized on every field the terms depend on, which is cheaper than
+    hashing the whole frozen layer. The outlier-group count is read only
+    to be checked, which ``OLAccelSimulator`` does for every design, so
+    it is not part of the key.
     """
     key = (
         layer.macs,
@@ -105,7 +108,6 @@ def layer_work(layer: LayerWorkload, cfg: OLAccelConfig) -> LayerWork:
         cfg.raw_input_bits,
         cfg.has_outlier_mac,
         cfg.zero_skip,
-        cfg.n_outlier_groups,
         cfg.act_outlier_bits,
     )
     work = _WORK_MEMO.get(key)
@@ -174,13 +176,42 @@ def _layer_work(layer: LayerWorkload, cfg: OLAccelConfig) -> LayerWork:
     )
 
 
+#: Config fields that :func:`layer_work` and ``simulate_layer`` read as
+#: scalars, so every design of a batch must share them.
+_BATCH_SHARED = (
+    "lanes",
+    "raw_input_bits",
+    "act_outlier_bits",
+    "has_outlier_mac",
+    "zero_skip",
+    "pipelined_accumulation",
+)
+
+#: The per-design constants a batch holds as float64 vectors.
+_BATCH_VECTORS = (
+    "_n_groups",
+    "_n_outlier_groups",
+    "_dispatch_efficiency",
+    "_act_bits",
+    "_acc_bits",
+    "_buffer_bits",
+    "_io_bits",
+    "_normal_mac_pj",
+    "_outlier_mac_pj",
+    "_swarm_pj_per_bit",
+    "_weight_buffer_pj_per_bit",
+    "_group_buffer_pj_per_bit",
+)
+
+
 class OLAccelSimulator(AnalyticSimulator):
     """Cycle + energy model of one OLAccel instance.
 
     Pass ``obs=Registry(...)`` to record per-layer counters (run / skip /
     idle / outlier cycles, broadcasts, passes) under
     ``<config name>/<layer name>/…`` and a wall-clock timer per simulated
-    network; the default records nothing.
+    network; the default records nothing. :meth:`batch` runs many
+    designs through the same model at once.
     """
 
     def __init__(
@@ -190,20 +221,63 @@ class OLAccelSimulator(AnalyticSimulator):
         obs: Registry = None,
     ):
         cfg = config or olaccel16()
+        if cfg.n_groups <= 0:
+            raise ValueError("n_groups must be positive")
+        if cfg.n_outlier_groups <= 0:
+            raise ValueError("n_outlier_groups must be positive")
         super().__init__(cfg, energy, obs, cfg.swarm_buffer_bits, cfg.act_bits)
         # Config-constant terms of the per-layer model, computed once.
         self._n_groups = cfg.n_groups
+        self._n_outlier_groups = cfg.n_outlier_groups
+        self._dispatch_efficiency = cfg.dispatch_efficiency
+        self._act_bits = cfg.act_bits
+        self._acc_bits = cfg.acc_bits
         self._normal_mac_pj = energy.mac_energy(cfg.act_bits, cfg.weight_bits, cfg.acc_bits)
         self._outlier_mac_pj = energy.mac_energy(cfg.act_outlier_bits, cfg.weight_bits, cfg.acc_bits)
         self._swarm_pj_per_bit = energy.sram_per_bit(self._buffer_bits)
         self._weight_buffer_pj_per_bit = energy.sram_per_bit(_WEIGHT_BUFFER_BITS)
         self._group_buffer_pj_per_bit = energy.sram_per_bit(_GROUP_BUFFER_BITS)
 
+    @classmethod
+    def batch(cls, simulators: Sequence["OLAccelSimulator"]) -> "OLAccelSimulator":
+        """One simulator for the designs of ``simulators``, in order.
+
+        Each per-design constant becomes a float64 vector over the
+        designs, so ``simulate_network`` runs the one per-layer model
+        once and its cycle and energy fields are such vectors. The
+        designs must share the config fields read as scalars
+        (``_BATCH_SHARED``) and the energy parameters; the batch takes
+        those and its config from the first design. It records nothing.
+
+        Each design's numbers equal its own run to the bit while the
+        integer products a scalar run forms exactly (a count times a bit
+        width) stay below 2**53, as they do by orders of magnitude on
+        every paper network.
+        """
+        import numpy as np
+
+        first = simulators[0]
+        for sim in simulators[1:]:
+            for name in _BATCH_SHARED:
+                if getattr(sim.config, name) != getattr(first.config, name):
+                    raise ValueError(
+                        f"a batch needs one {name}: {getattr(first.config, name)!r} "
+                        f"vs {getattr(sim.config, name)!r}"
+                    )
+            if sim.energy.params != first.energy.params:
+                raise ValueError("a batch needs one set of energy parameters")
+        batch = copy.copy(first)
+        batch.obs = NULL_REGISTRY
+        for name in _BATCH_VECTORS:
+            setattr(batch, name, np.array([getattr(sim, name) for sim in simulators], np.float64))
+        return batch
+
     def simulate_layer(self, layer: LayerWorkload) -> LayerStats:
         """Simulate one layer; returns cycles, energy and a cycle breakdown."""
         cfg = self.config
         lanes = cfg.lanes
         n_groups = self._n_groups
+        act_bits = self._act_bits
         is_first = layer.is_first
         (
             n_passes,
@@ -222,20 +296,17 @@ class OLAccelSimulator(AnalyticSimulator):
         efficiency = load_balance_efficiency(
             n_passes, n_groups, mean_cost=1.0 if 1.0 > mean_cost else mean_cost
         )
-        efficiency *= cfg.dispatch_efficiency
+        efficiency *= self._dispatch_efficiency
         normal_cycles = work / n_groups / efficiency
-        outlier_cycles = outlier_broadcasts / cfg.n_outlier_groups
+        outlier_cycles = outlier_broadcasts / self._n_outlier_groups
         drain = accumulation_drain_cycles(layer.out_groups)
         if cfg.pipelined_accumulation:
-            slower = outlier_cycles if outlier_cycles > normal_cycles else normal_cycles
-            cycles = slower + drain
+            cycles = larger(outlier_cycles, normal_cycles) + drain
         else:
             # Ablation: outlier partial sums merge only after the dense
             # pass finishes, serializing the two paths.
             cycles = normal_cycles + outlier_cycles + drain
-        idle = cycles * n_groups - work
-        if 0.0 > idle:
-            idle = 0.0
+        idle = larger(0.0, cycles * n_groups - work)
 
         # -- energy -----------------------------------------------------------
         # Packed weight chunks plus their multi-outlier spill chunks.
@@ -249,8 +320,8 @@ class OLAccelSimulator(AnalyticSimulator):
         if is_first:
             in_bits = layer.input_count * cfg.raw_input_bits
         else:
-            in_bits = layer.input_count * cfg.act_bits + fifo_bits
-        out_bits = layer.output_count * cfg.act_bits
+            in_bits = layer.input_count * act_bits + fifo_bits
+        out_bits = layer.output_count * act_bits
 
         dram = self._dram_energy(weight_bits, in_bits, out_bits, is_first)
 
@@ -264,9 +335,9 @@ class OLAccelSimulator(AnalyticSimulator):
         # Local buffers: weight chunk per issued broadcast cycle, activation
         # chunk per pass, partial sums revisiting the tri-buffer per kernel row.
         local_bits = run_cycles * WEIGHT_CHUNK_BITS
-        local_bits += n_passes * (lanes * cfg.act_bits)
+        local_bits += n_passes * (lanes * act_bits)
         psum_visits = layer.kernel if layer.kernel > 1 else 1
-        local_bits += 2.0 * layer.output_count * cfg.acc_bits * psum_visits
+        local_bits += 2.0 * layer.output_count * self._acc_bits * psum_visits
         local_bits += outlier_broadcasts * WEIGHT_CHUNK_BITS
         local = self._group_buffer_pj_per_bit * local_bits
 

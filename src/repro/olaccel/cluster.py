@@ -44,9 +44,11 @@ def load_balance_efficiency(n_passes: float, n_groups: int, mean_cost: float = 8
     the layer, so the efficiency is ``ideal / (ideal + tail)`` with
     ``tail ~ mean_cost / 2``. For the millions of passes in a real conv
     layer this is ~1; it only bites for tiny layers.
+
+    ``n_groups`` must be positive (``OLAccelSimulator`` checks it once
+    per design). It may be a float64 vector of group counts, one per
+    design of a batch; the result is then a vector too.
     """
-    if n_groups <= 0:
-        raise ValueError("n_groups must be positive")
     if n_passes <= 0:
         return 1.0
     ideal = n_passes * mean_cost / n_groups
