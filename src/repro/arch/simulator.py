@@ -56,11 +56,13 @@ class AnalyticSimulator:
         self, weight_bits: float, in_bits: float, out_bits: float, is_first: bool
     ) -> float:
         """Weights stream in once; activations past the buffer go out and
-        back; the first layer also reads the raw network input."""
-        dram_bits = weight_bits
-        dram_bits += 2.0 * larger(in_bits + out_bits - self._buffer_bits, 0.0)
+        back; the first layer also reads the raw network input.
+
+        No sum is taken in place: an array argument is the caller's,
+        which it still reads afterwards."""
+        dram_bits = weight_bits + 2.0 * larger(in_bits + out_bits - self._buffer_bits, 0.0)
         if is_first:
-            dram_bits += in_bits
+            dram_bits = dram_bits + in_bits
         return self._dram_pj_per_bit * dram_bits
 
     def simulate_network(self, network: NetworkWorkload) -> RunStats:

@@ -255,6 +255,22 @@ class Candidate:
             swarm_buffer_bytes=self.buffer_kib * 1024,
         )
 
+    @functools.cached_property
+    def design(self) -> Tuple[int, ...]:
+        """Every field but ``ratio``: the hardware this point names.
+
+        The ratio changes only the workload and the accuracy axis, so
+        the candidates of one design share its area and its simulator.
+        """
+        return (
+            self.clusters,
+            self.groups,
+            self.buffer_kib,
+            self.acc_bits,
+            self.act_bits,
+            self.weight_bits,
+        )
+
     def area_mm2(self) -> float:
         """Datapath + swarm-buffer area charged against the budget."""
         return olaccel_design_area(
@@ -492,67 +508,136 @@ def accuracy_cell(
     the trained mini model (trains it on first use — minutes, then
     cached). ``none`` drops the accuracy axis entirely.
     """
+    return _accuracy_cells(
+        network, [(act_bits, weight_bits, ratio)], mode, samples, seed, cache
+    )[0]
+
+
+def _accuracy_cells(
+    network: str,
+    points: Sequence[Tuple[int, int, float]],
+    mode: str,
+    samples: int,
+    seed: int,
+    cache: Optional[SimCache] = None,
+) -> List[Dict[str, Any]]:
+    """:func:`accuracy_cell` of each ``(act_bits, weight_bits, ratio)``
+    point, in order, each its own simcache entry.
+
+    Proxy points that share one ``(act_bits, weight_bits)`` draw are
+    scored in one :func:`_proxy_accuracies` pass, run on the draw's
+    first cache miss; a run whose lookups all hit computes nothing.
+    """
+    if not points:
+        return []
     if mode == "none":
-        return {"metric": "none", "accuracy": None}
+        return [{"metric": "none", "accuracy": None} for _ in points]
     if mode not in ("proxy", "quant"):
         raise ConfigError(f"unknown accuracy mode {mode!r}; use none, proxy or quant")
     cache = cache if cache is not None else get_active()
-    components = {
-        "cell": "explore-accuracy",
-        "mode": mode,
-        "network": network,
-        "mini": MINI_OF.get(network),
-        "act_bits": int(act_bits),
-        "weight_bits": int(weight_bits),
-        "ratio": float(ratio),
-        "samples": int(samples),
-        "seed": int(seed),
-    }
+    points = [(int(a), int(w), float(r)) for a, w, r in points]
+    # draw -> its points' ratios; a point's slot is its index in that list
+    draws: Dict[Tuple[int, int], List[float]] = {}
+    slots = []
+    for act_bits, weight_bits, ratio in points:
+        ratios = draws.setdefault((act_bits, weight_bits), [])
+        slots.append(len(ratios))
+        ratios.append(ratio)
+    passes: Dict[Tuple[int, int], List[Any]] = {}
 
-    def compute() -> Dict[str, Any]:
-        if mode == "proxy":
-            return _proxy_accuracy(int(act_bits), int(weight_bits), float(ratio), int(seed))
-        return _measured_accuracy(
-            network, int(act_bits), int(weight_bits), float(ratio), int(samples)
+    def compute(act_bits: int, weight_bits: int, ratio: float, slot: int) -> Dict[str, Any]:
+        if mode == "quant":
+            return _measured_accuracy(network, act_bits, weight_bits, ratio, int(samples))
+        draw = (act_bits, weight_bits)
+        if draw not in passes:
+            passes[draw] = _proxy_accuracies(act_bits, weight_bits, draws[draw], int(seed))
+        result = passes[draw][slot]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    out = []
+    for (act_bits, weight_bits, ratio), slot in zip(points, slots):
+        components = {
+            "cell": "explore-accuracy",
+            "mode": mode,
+            "network": network,
+            "mini": MINI_OF.get(network),
+            "act_bits": act_bits,
+            "weight_bits": weight_bits,
+            "ratio": ratio,
+            "samples": int(samples),
+            "seed": int(seed),
+        }
+        out.append(
+            cache.memoize(components, functools.partial(compute, act_bits, weight_bits, ratio, slot))
         )
+    return out
 
-    return cache.memoize(components, compute)
 
-
-def _proxy_accuracy(act_bits: int, weight_bits: int, ratio: float, seed: int) -> Dict[str, Any]:
-    """Quantization SQNR (dB) on seeded Student-t tensors.
+def _proxy_accuracies(
+    act_bits: int, weight_bits: int, ratios: Sequence[float], seed: int
+) -> List[Any]:
+    """Quantization SQNR (dB) on seeded Student-t tensors, per ratio.
 
     Heavy-tailed draws mirror the outlier-rich distributions of Fig. 1;
     numpy ``Generator`` streams are stable across platforms, so the
-    proxy is bit-deterministic for a given seed.
+    proxy is bit-deterministic for a given seed. Every ratio shares the
+    draw, and the thresholds of each tensor come from one
+    :func:`~repro.quant.outlier.magnitude_thresholds` call. A ratio the
+    quantizer refuses gets, in place of its result, the
+    :class:`ConfigError` quantizing at it alone raises.
     """
-    from ..quant.outlier import magnitude_threshold, quantize_activations, quantize_weights
+    from ..quant.outlier import (
+        OutlierQuantConfig,
+        magnitude_thresholds,
+        quantize_activations,
+        quantize_weights,
+    )
 
     weights, acts = _proxy_tensors(seed, act_bits, weight_bits)
-    qw = quantize_weights(weights, ratio=ratio, normal_bits=weight_bits, outlier_bits=8)
-    threshold = magnitude_threshold(acts, ratio, over_nonzero=True)
-    qa = quantize_activations(
-        acts, threshold, normal_bits=act_bits, outlier_bits=16, ratio=ratio
-    )
+    results: List[Any] = []
+    for ratio in ratios:
+        # The configs the two quantize calls build, in their order: a
+        # refused ratio never reaches the threshold pass.
+        try:
+            OutlierQuantConfig(ratio=ratio, normal_bits=weight_bits, outlier_bits=8)
+            OutlierQuantConfig(ratio=ratio, normal_bits=act_bits, outlier_bits=16, signed=False)
+            results.append(None)
+        except ConfigError as exc:
+            results.append(exc)
+    valid = [ratio for ratio, result in zip(ratios, results) if result is None]
+    w_thresholds = iter(magnitude_thresholds(weights, valid))
+    a_thresholds = iter(magnitude_thresholds(acts, valid, over_nonzero=True))
 
     def sqnr_db(x: np.ndarray, xq: np.ndarray) -> float:
         noise = float(np.sum((x - xq) ** 2))
         signal = float(np.sum(x**2))
         return 10.0 * math.log10(signal / noise) if noise > 0 else float("inf")
 
-    w_sqnr = sqnr_db(weights, qw.dequantize())
-    a_sqnr = sqnr_db(acts, qa.dequantize())
-    return {
-        "metric": "sqnr_db",
-        "accuracy": 0.5 * (w_sqnr + a_sqnr),
-        "weight_sqnr_db": w_sqnr,
-        "act_sqnr_db": a_sqnr,
-    }
+    for i, ratio in enumerate(ratios):
+        if results[i] is not None:
+            continue
+        qw = quantize_weights(
+            weights, ratio, normal_bits=weight_bits, outlier_bits=8, threshold=next(w_thresholds)
+        )
+        qa = quantize_activations(
+            acts, next(a_thresholds), normal_bits=act_bits, outlier_bits=16, ratio=ratio
+        )
+        w_sqnr = sqnr_db(weights, qw.dequantize())
+        a_sqnr = sqnr_db(acts, qa.dequantize())
+        results[i] = {
+            "metric": "sqnr_db",
+            "accuracy": 0.5 * (w_sqnr + a_sqnr),
+            "weight_sqnr_db": w_sqnr,
+            "act_sqnr_db": a_sqnr,
+        }
+    return results
 
 
 @functools.lru_cache(maxsize=4)
 def _proxy_tensors(seed: int, act_bits: int, weight_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The seeded (weights, |activations|) draws of :func:`_proxy_accuracy`.
+    """The seeded (weights, |activations|) draws of :func:`_proxy_accuracies`.
 
     Every outlier ratio shares them, so each key draws once; callers
     share the arrays, which are therefore read-only.
@@ -721,10 +806,16 @@ def _execute_inline(
     :func:`explore_cell` cells would hold.
 
     Candidates at one ratio share one workload, so each ratio's
-    candidates run as one :meth:`OLAccelSimulator.batch`. A candidate
-    whose simulator fails to build gets its own failed record, and an
-    error in the batched run fails every candidate in it, as the
-    layer-only terms it comes from would fail each alone.
+    candidates run as one :meth:`OLAccelSimulator.batch`. Each distinct
+    :attr:`Candidate.design` gets one simulator, and each distinct list
+    of designs one batch, which every ratio with that list runs. That is
+    exact: no per-design constant reads the ratio, the layer model never
+    reads ``OLAccelConfig.outlier_ratio``, and ``config.name`` (which
+    holds the first candidate's ratio) only labels the ``RunStats``
+    discarded here. A design whose simulator fails to build gives each
+    of its candidates its own failed record, and an error in a batched
+    run fails every candidate in it, as the layer-only terms it comes
+    from would fail each alone.
     """
     from ..olaccel.accelerator import OLAccelSimulator
 
@@ -732,6 +823,9 @@ def _execute_inline(
     by_ratio: Dict[float, List[Candidate]] = {}
     for cand in population:
         by_ratio.setdefault(cand.ratio, []).append(cand)
+    # design -> its simulator, or the exception building it raised
+    sims: Dict[Tuple[int, ...], Any] = {}
+    batches: Dict[Tuple[Tuple[int, ...], ...], OLAccelSimulator] = {}
     for ratio, cands in by_ratio.items():
         try:
             workload = _cell_workload(network, ratio, fidelity)
@@ -739,18 +833,26 @@ def _execute_inline(
             records.update((cand.cand_id, _failed_record(cand, exc)) for cand in cands)
             continue
         built: List[Candidate] = []
-        sims = []
         for cand in cands:
-            try:
-                sims.append(OLAccelSimulator(cand.accel_config()))
-            except Exception as exc:
-                records[cand.cand_id] = _failed_record(cand, exc)
+            sim = sims.get(cand.design)
+            if sim is None:
+                try:
+                    sim = OLAccelSimulator(cand.accel_config())
+                except Exception as exc:
+                    sim = exc
+                sims[cand.design] = sim
+            if isinstance(sim, Exception):
+                records[cand.cand_id] = _failed_record(cand, sim)
             else:
                 built.append(cand)
         if not built:
             continue
+        designs = tuple(cand.design for cand in built)
         try:
-            run = OLAccelSimulator.batch(sims).simulate_network(workload)
+            batch = batches.get(designs)
+            if batch is None:
+                batch = batches[designs] = OLAccelSimulator.batch([sims[d] for d in designs])
+            run = batch.simulate_network(workload)
         except Exception as exc:
             records.update((cand.cand_id, _failed_record(cand, exc)) for cand in built)
             continue
@@ -925,8 +1027,12 @@ def explore_run(
     if request.max_candidates is not None and len(cands) > request.max_candidates:
         capped = len(cands) - request.max_candidates
         cands = cands[: request.max_candidates]
-    area = {c.cand_id: c.area_mm2() for c in cands}
-    feasible = [c for c in cands if area[c.cand_id] <= budget]
+    # The area is ratio-free: one call per design.
+    area: Dict[Tuple[int, ...], float] = {}
+    for cand in cands:
+        if cand.design not in area:
+            area[cand.design] = cand.area_mm2()
+    feasible = [c for c in cands if area[c.design] <= budget]
     pruned = (len(cands) - len(feasible)) + capped
     obs.counter("explore/pruned").add(pruned)
 
@@ -995,18 +1101,11 @@ def explore_run(
     accuracy_points: Dict[Tuple[int, int, float], Dict[str, Any]] = {}
     survivors = [c for c in population if c.cand_id in final_rows]
     if request.accuracy != "none":
-        for cand in survivors:
-            key = (cand.act_bits, cand.weight_bits, cand.ratio)
-            if key not in accuracy_points:
-                accuracy_points[key] = accuracy_cell(
-                    request.network,
-                    cand.act_bits,
-                    cand.weight_bits,
-                    cand.ratio,
-                    mode=request.accuracy,
-                    samples=request.accuracy_samples,
-                    seed=seed,
-                )
+        points = list(dict.fromkeys((c.act_bits, c.weight_bits, c.ratio) for c in survivors))
+        cells = _accuracy_cells(
+            request.network, points, request.accuracy, request.accuracy_samples, seed
+        )
+        accuracy_points = dict(zip(points, cells))
         obs.counter("explore/accuracy_cells").add(len(accuracy_points))
 
     archive = ParetoArchive()
@@ -1014,7 +1113,7 @@ def explore_run(
     rows: List[Dict[str, Any]] = []
     for cand in survivors:
         row = {"cand_id": cand.cand_id, **cand.to_dict()}
-        row["area_mm2"] = area[cand.cand_id]
+        row["area_mm2"] = area[cand.design]
         row.update(final_rows[cand.cand_id])
         acc = accuracy_points.get((cand.act_bits, cand.weight_bits, cand.ratio))
         row["accuracy"] = None if acc is None else acc.get("accuracy")

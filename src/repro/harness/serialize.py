@@ -82,9 +82,17 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, numpy, dicts) to JSON types.
 
     A dataclass converts field by field in the same walk, to what
-    converting its ``dataclasses.asdict`` copy would give.
+    converting its ``dataclasses.asdict`` copy would give. The exact
+    JSON types come first, with what the general checks below give them.
     """
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    kind = type(obj)
+    if kind is str or kind is float or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {k if type(k) is str else _key(k): to_jsonable(v) for k, v in obj.items()}
+    if kind is list:
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}

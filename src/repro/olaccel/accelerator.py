@@ -247,7 +247,9 @@ class OLAccelSimulator(AnalyticSimulator):
         once and its cycle and energy fields are such vectors. The
         designs must share the config fields read as scalars
         (``_BATCH_SHARED``) and the energy parameters; the batch takes
-        those and its config from the first design. It records nothing.
+        those and its config from the first design. It records nothing
+        and keeps no state between runs, so one batch prices its designs
+        on any number of workloads.
 
         Each design's numbers equal its own run to the bit while the
         integer products a scalar run forms exactly (a count times a bit

@@ -20,6 +20,7 @@ Grids follow the hardware (Sec. III-A):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "OutlierQuantConfig",
     "QuantizedTensor",
     "magnitude_threshold",
+    "magnitude_thresholds",
     "quantize_weights",
     "quantize_activations",
 ]
@@ -115,14 +117,26 @@ def magnitude_threshold(x: np.ndarray, ratio: float, over_nonzero: bool = False)
     (the activation convention). Returns the maximum magnitude when
     ``ratio`` is 0, i.e. full-range linear quantization.
     """
+    return magnitude_thresholds(x, (ratio,), over_nonzero)[0]
+
+
+def magnitude_thresholds(
+    x: np.ndarray, ratios: Sequence[float], over_nonzero: bool = False
+) -> List[float]:
+    """:func:`magnitude_threshold` of ``x`` at each of ``ratios``, in order.
+
+    The magnitudes are taken once and one ``np.quantile`` call covers
+    every positive ratio. numpy computes each quantile element by
+    element, so each threshold equals the one-ratio call's.
+    """
     mags = np.abs(np.asarray(x, dtype=np.float64)).ravel()
     if over_nonzero:
         mags = mags[mags > 0]
     if mags.size == 0:
-        return 0.0
-    if ratio <= 0.0:
-        return float(mags.max())
-    return float(np.quantile(mags, 1.0 - ratio))
+        return [0.0] * len(ratios)
+    quantiles = [1.0 - ratio for ratio in ratios if not ratio <= 0.0]
+    found = iter(np.quantile(mags, quantiles).tolist() if quantiles else ())
+    return [float(mags.max()) if ratio <= 0.0 else next(found) for ratio in ratios]
 
 
 def _grid(threshold: float, config: OutlierQuantConfig) -> LinearQuantizer:
@@ -143,10 +157,16 @@ def quantize_weights(
     ratio: float = 0.03,
     normal_bits: int = 4,
     outlier_bits: int = 8,
+    threshold: Optional[float] = None,
 ) -> QuantizedTensor:
-    """OAQ a weight tensor (signed, threshold over all weights)."""
+    """OAQ a weight tensor (signed, threshold over all weights).
+
+    ``threshold`` defaults to :func:`magnitude_threshold` of the weights
+    at ``ratio``; a caller that already holds it passes it.
+    """
     config = OutlierQuantConfig(ratio=ratio, normal_bits=normal_bits, outlier_bits=outlier_bits, signed=True)
-    threshold = magnitude_threshold(weights, ratio, over_nonzero=False)
+    if threshold is None:
+        threshold = magnitude_threshold(weights, ratio, over_nonzero=False)
     return _quantize(weights, threshold, config)
 
 

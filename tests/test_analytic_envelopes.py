@@ -238,7 +238,8 @@ def test_explore_draws_each_proxy_pair_once(rootless_cache):
     explore._proxy_tensors.cache_clear()
     explore_run(ExploreRequest("resnet18"))
     info = explore._proxy_tensors.cache_info()
-    # Three ratios at one (act_bits, weight_bits) point: one draw, two reuses.
-    assert (info.misses, info.hits) == (1, 2)
+    # Three ratios at one (act_bits, weight_bits) point: one draw, scored
+    # for all three in one pass.
+    assert (info.misses, info.hits) == (1, 0)
     weights, acts = explore._proxy_tensors(0, 4, 4)
     assert not weights.flags.writeable and not acts.flags.writeable

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import tempfile
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -322,3 +322,108 @@ class TestCanonicalJson:
         doc = load_json(committed)
         assert INTEGRITY_KEY not in doc
         assert save_json(doc, tmp_path / "again.json").read_bytes() == committed.read_bytes()
+
+
+def general_to_jsonable(obj):
+    """The converter before its exact-type fast path: isinstance checks
+    only, the dataclass check first after the scalars."""
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: general_to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {_key(k): general_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [general_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class IntSub(int):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+@dataclass
+class DictLeaf(dict):
+    """A dict that is also a dataclass: the dataclass check wins."""
+
+    tag: object = None
+
+
+SUBCLASS_LEAVES = st.sampled_from(
+    [True, False, Color.RED, IntSub(5), StrKey("s"), np.int64(-3), np.uint8(7),
+     np.float32(0.5), np.float64(-0.0), np.bool_(True)]
+)
+ARRAYS = st.lists(st.floats(-10, 10), max_size=4).map(np.array) | st.just(np.arange(6).reshape(2, 3))
+KEYS = (
+    TEXT
+    | st.integers(-3, 3)
+    | st.tuples(TEXT, st.integers(0, 3))
+    | st.sampled_from([Color.RED, StrKey("k"), IntSub(9), None, 2.5])
+)
+MIXED = st.recursive(
+    SCALARS | SUBCLASS_LEAVES | ARRAYS,
+    lambda kids: (
+        st.lists(kids, max_size=3)
+        | st.lists(kids, max_size=3).map(tuple)
+        | st.lists(kids, max_size=3).map(ListSub)
+        | st.sets(st.integers(-5, 5) | TEXT, max_size=3)
+        | st.dictionaries(KEYS, kids, max_size=3)
+        | st.dictionaries(KEYS, kids, max_size=3).map(DictSub)
+        | st.builds(Leaf, kids, st.lists(kids, max_size=2).map(tuple))
+        | st.builds(DictLeaf, kids)
+    ),
+    max_leaves=20,
+)
+
+
+def assert_same_tree(got, want):
+    """Equal in value and in type at every node, NaN and -0.0 included."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert [(type(k), k) for k in got] == [(type(k), k) for k in want]
+        for g, w in zip(got.values(), want.values()):
+            assert_same_tree(g, w)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_tree(g, w)
+    elif isinstance(want, float):
+        assert repr(got) == repr(want)
+    else:
+        assert got == want
+
+
+class TestToJsonableFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(MIXED)
+    def test_equals_the_general_converter(self, obj):
+        try:
+            want = general_to_jsonable(obj)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{exc}$"):
+                to_jsonable(obj)
+        else:
+            assert_same_tree(to_jsonable(obj), want)
+
+    def test_dict_dataclass_converts_as_a_dataclass(self):
+        leaf = DictLeaf(tag=1)
+        leaf["hidden"] = 2
+        assert to_jsonable(leaf) == general_to_jsonable(leaf) == {"tag": 1}
+
+    def test_experiment_results_equal_the_general_converter(self):
+        for obj in (breakdown_experiment("resnet18"), nested_tree(), make_run().to_dict()):
+            assert_same_tree(to_jsonable(obj), general_to_jsonable(obj))
