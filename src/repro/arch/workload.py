@@ -16,9 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List
 
+from ..errors import ConfigError
 from ..nn.zoo_paper import LayerSpec, NetworkSpec
 
-__all__ = ["LayerWorkload", "NetworkWorkload", "from_spec"]
+__all__ = ["LayerWorkload", "NetworkWorkload", "from_spec", "is_fraction", "check_ratio"]
+
+
+def is_fraction(value: float) -> bool:
+    """Whether ``value`` lies in [0, 1] (nan does not): the range
+    :class:`LayerWorkload` holds every density and outlier ratio to."""
+    return 0.0 <= value <= 1.0
+
+
+def check_ratio(ratio: float) -> None:
+    """Refuse an outlier ratio no :class:`LayerWorkload` can hold."""
+    if not is_fraction(ratio):
+        raise ConfigError(f"outlier ratio must be in [0, 1], got {ratio}", field="ratio")
 
 
 @dataclass(frozen=True)
@@ -51,10 +64,10 @@ class LayerWorkload:
     def __post_init__(self):
         for field_name in ("act_density", "weight_density", "act_outlier_ratio", "weight_outlier_ratio"):
             value = getattr(self, field_name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field_name} must be in [0, 1], got {value}")
+            if not 0.0 <= value <= 1.0:  # is_fraction, inline: built per layer
+                raise ConfigError(f"{field_name} must be in [0, 1], got {value}")
         if self.macs <= 0 or self.weight_count <= 0:
-            raise ValueError("macs and weight_count must be positive")
+            raise ConfigError("macs and weight_count must be positive")
 
     @property
     def out_groups(self) -> int:

@@ -7,8 +7,9 @@ The modules that use them re-export the same objects:
 ``harness.workloads`` (``MEMORY_TABLE``), ``harness.faults``
 (``DEFAULT_RATES``/``DEFAULT_WIDTHS``), ``faults.plan``
 (``FAULT_MODELS``), ``faults.validate`` (``RECOVERY_POLICIES``) and
-``harness.coord`` (the lease defaults). Like :mod:`repro.errors`, this
-module depends on nothing.
+``harness.coord`` (the lease defaults), and ``FaultPlan`` and
+``AccumulatorModel`` check the bounds below. Like :mod:`repro.errors`,
+this module depends on nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ __all__ = [
     "DEFAULT_RATES",
     "DEFAULT_WIDTHS",
     "FAULT_MODELS",
+    "FAULT_RATE_RANGE",
+    "MIN_ACCUMULATOR_BITS",
     "RECOVERY_POLICIES",
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_HEARTBEAT_S",
     "STRATEGY_NAMES",
+    "ACCURACY_MODES",
 ]
 
 #: Table I on-chip activation memory per network: (16-bit, 8-bit) bytes.
@@ -45,6 +49,11 @@ DEFAULT_WIDTHS = (16, 20, 24, 32)
 #: Supported fault models.
 FAULT_MODELS = ("bitflip", "stuck0", "stuck1", "burst")
 
+#: Closed range of a per-word strike probability (``FaultPlan.rate``).
+FAULT_RATE_RANGE = (0.0, 1.0)
+#: Narrowest signed accumulator (``AccumulatorModel.width_bits``).
+MIN_ACCUMULATOR_BITS = 2
+
 #: Recovery policies, in docs order.
 RECOVERY_POLICIES = ("raise", "degrade", "skip")
 
@@ -58,3 +67,6 @@ DEFAULT_HEARTBEAT_S = 2.0
 #: Names of the built-in ``repro explore --strategy`` search strategies;
 #: ``harness.explore`` registers one strategy class under each.
 STRATEGY_NAMES = ("grid", "halving", "random")
+
+#: ``repro explore --accuracy`` modes; ``ExploreRequest`` refuses others.
+ACCURACY_MODES = ("none", "proxy", "quant")

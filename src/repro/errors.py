@@ -61,11 +61,13 @@ docs/FAULTS.md for the policy and counter semantics.
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 __all__ = [
     "ReproError",
     "ConfigError",
+    "config_field",
     "QuantRangeError",
     "CapacityError",
     "ChunkIntegrityError",
@@ -83,7 +85,24 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError, ValueError):
-    """A component was configured with parameters it cannot honour."""
+    """A component was configured with parameters it cannot honour;
+    ``field`` names the refused parameter when the raiser knows it."""
+
+    def __init__(self, message: str, *, field: Optional[str] = None):
+        self.field = field
+        super().__init__(message)
+
+
+@contextmanager
+def config_field(name: str) -> Iterator[None]:
+    """Name ``name`` as the ``field`` of any :class:`ConfigError` raised
+    in the block that does not name one already."""
+    try:
+        yield
+    except ConfigError as exc:
+        if exc.field is None:
+            exc.field = name
+        raise
 
 
 class QuantRangeError(ReproError, ValueError):

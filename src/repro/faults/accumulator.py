@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import MIN_ACCUMULATOR_BITS
 from ..errors import ConfigError
 from ..obs import NULL_REGISTRY, Registry
 
@@ -45,8 +46,10 @@ class AccumulatorModel:
     mode: str = "saturate"
 
     def __post_init__(self):
-        if self.width_bits < 2:
-            raise ConfigError(f"accumulator width must be >= 2 bits, got {self.width_bits}")
+        if self.width_bits < MIN_ACCUMULATOR_BITS:
+            raise ConfigError(
+                f"accumulator width must be >= {MIN_ACCUMULATOR_BITS} bits, got {self.width_bits}"
+            )
         if self.mode not in ACC_MODES:
             raise ConfigError(f"unknown accumulator mode {self.mode!r}; one of {ACC_MODES}")
 

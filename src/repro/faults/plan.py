@@ -39,7 +39,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..constants import FAULT_MODELS
+from ..constants import FAULT_MODELS, FAULT_RATE_RANGE
 from ..errors import ConfigError
 from ..obs import NULL_REGISTRY, Registry
 
@@ -72,8 +72,9 @@ class FaultPlan:
     burst_length: int = 4
 
     def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"fault rate must be in [0, 1], got {self.rate}")
+        low, high = FAULT_RATE_RANGE
+        if not low <= self.rate <= high:
+            raise ConfigError(f"fault rate must be in [{low:g}, {high:g}], got {self.rate}")
         if self.model not in FAULT_MODELS:
             raise ConfigError(f"unknown fault model {self.model!r}; one of {FAULT_MODELS}")
         unknown = [t for t in self.targets if t not in FAULT_SURFACES]

@@ -9,7 +9,7 @@ EXPERIMENTS.md for paper-vs-measured values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.area import (
@@ -20,7 +20,6 @@ from ..arch.area import (
     zena_pe_area,
 )
 from ..arch.stats import RunStats
-from ..arch.workload import NetworkWorkload
 from ..baselines import EyerissSimulator, ZenaSimulator, eyeriss16, eyeriss8, zena16, zena8
 from ..olaccel import (
     OLAccelSimulator,
@@ -375,9 +374,10 @@ class BreakdownResult:
             ("olaccel8", "zena8", "OLAccel8  vs ZeNA8 "),
         ):
             if a in self.runs and b in self.runs:
+                # signed change: + when OLAccel costs more than ZeNA
                 headlines.append(
-                    f"\n{label}: energy -{self.reduction(a, b) * 100:.1f}%, "
-                    f"cycles -{self.reduction(a, b, 'cycles') * 100:.1f}%"
+                    f"\n{label}: energy {-self.reduction(a, b) * 100:+.1f}%, "
+                    f"cycles {-self.reduction(a, b, 'cycles') * 100:+.1f}%"
                 )
         text = table + "".join(headlines)
         if self.failures:

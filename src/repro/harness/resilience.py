@@ -56,6 +56,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..constants import DEFAULT_RATES, DEFAULT_WIDTHS
 from ..errors import ArtifactIntegrityError, CellError
 from ..obs import NULL_REGISTRY, Registry
 from .coord import (
@@ -253,9 +254,14 @@ def breakdown_plan(
     experiment: str = "compare",
     description: str = "",
 ) -> SweepPlan:
-    """One cell per accelerator of a Figs. 11-13 / ``compare`` breakdown."""
+    """One cell per accelerator of a Figs. 11-13 / ``compare`` breakdown;
+    a network or ratio no cell could simulate raises before any cell exists."""
+    from ..arch.workload import check_ratio
     from .experiments import ALL_ACCELERATORS
+    from .workloads import check_network
 
+    check_network(network)
+    check_ratio(ratio)
     params = {"network": network, "ratio": float(ratio)}
     cells = [
         CellSpec(
@@ -294,14 +300,18 @@ def _assemble_breakdown(plan: SweepPlan, records: Dict[str, Dict[str, Any]]):
 
 def faults_plan(
     network: str,
-    rates: Sequence[float],
-    widths: Sequence[int],
+    rates: Sequence[float] = DEFAULT_RATES,
+    widths: Sequence[int] = DEFAULT_WIDTHS,
     policy: str = "degrade",
     model: str = "bitflip",
     ratio: float = 0.03,
     seed: Optional[int] = None,
 ) -> SweepPlan:
-    """One cell per rate point and per width point of ``repro faults``."""
+    """One cell per rate point and per width point of ``repro faults``;
+    a sweep ``check_sweep`` refuses raises before any cell exists."""
+    from .faults import check_sweep
+
+    check_sweep(network, rates, widths, policy, model, ratio)
     seed = 0 if seed is None else seed
     params = {
         "network": network,

@@ -10,11 +10,11 @@ on-chip memory sizes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional
 
 from ..arch.workload import LayerWorkload, NetworkWorkload, from_spec
 from ..constants import MEMORY_TABLE
+from ..errors import ConfigError
 from ..nn.zoo_paper import build_paper
 
 if TYPE_CHECKING:
@@ -25,11 +25,21 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MEMORY_TABLE",
+    "check_network",
     "memory_bytes",
     "conv_only",
     "paper_workload",
     "from_quantized_model",
 ]
+
+
+def check_network(network: str) -> None:
+    """Refuse a network with no paper workload and memory budget."""
+    if network not in MEMORY_TABLE:
+        raise ConfigError(
+            f"unknown network {network!r}; available: {', '.join(sorted(MEMORY_TABLE))}",
+            field="network",
+        )
 
 
 def memory_bytes(network: str, bits: int) -> int:

@@ -55,7 +55,7 @@ from .arch.chunks import (
 )
 from .arch.packing import PackedWeights, WeightTables, _validate_levels, normal_max_level
 from .errors import CapacityError, ChunkIntegrityError, QuantRangeError
-from .faults.validate import _check_policy
+from .faults.validate import check_policy
 from .obs import NULL_REGISTRY, Registry
 from .olaccel.event_sim import ClusterResult, ClusterSim, PassDescriptor, _record_counters
 from .olaccel.pe_group import chunk_pass_cycles
@@ -383,7 +383,7 @@ def validate_swarm_scalar(
 ) -> np.ndarray:
     """The per-entry swarm audit: same contract as
     :func:`repro.faults.validate.validate_swarm`."""
-    _check_policy(policy)
+    check_policy(policy)
     c, h, w = shape
     padded_c = -(-c // LANES) * LANES
     kept: List[Tuple[int, int, int, int]] = []

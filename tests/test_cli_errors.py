@@ -114,6 +114,52 @@ class TestExploreSpaceValues:
         assert not run_dir.exists()
 
 
+class TestRefusedBeforeAnythingRuns:
+    """A value a parameter's owner refuses exits 2 with no traceback,
+    before any search, cell or run dir: at parse time (--seed) or as
+    the owner's one-line ConfigError."""
+
+    SPACE = ["--clusters", "4", "--groups", "6", "--buffers-kib", "96", "--acc-bits", "16"]
+    BAD = [
+        (["compare", "alexnet", "--ratio", "5"], "ratio must be in [0, 1], got 5.0"),
+        (["faults", "alexnet", "--ratio", "5"], "outlier ratio must be in [0, 1], got 5.0"),
+        (["faults", "alexnet", "--seed", "-5"], "expected a non-negative integer, got '-5'"),
+        (["explore", "alexnet", "--seed", "-5"], "expected a non-negative integer, got '-5'"),
+        (["run", "fig17", "--seed", "-5"], "expected a non-negative integer, got '-5'"),
+        # the default proxy accuracy quantizes at every ratio
+        (["explore", "alexnet", *SPACE, "--ratios", "1"], "outlier ratio must be in [0, 1), got 1.0"),
+    ]
+
+    @pytest.mark.parametrize("with_run_dir", [False, True], ids=["plain", "run-dir"])
+    @pytest.mark.parametrize("argv,message", BAD, ids=lambda v: "-".join(v) if isinstance(v, list) else "")
+    def test_refused(self, argv, message, with_run_dir, capsys, tmp_path):
+        from repro.obs import Registry, set_registry
+
+        run_dir = tmp_path / "r"
+        argv = argv + (["--run-dir", str(run_dir)] if with_run_dir else [])
+        obs = Registry()
+        previous = set_registry(obs)
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:  # argparse's usage error
+            code = exit_info.code
+        finally:
+            set_registry(previous)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err.splitlines()[-1]
+        assert "Traceback" not in err
+        if "--seed" not in argv:
+            assert len(err.splitlines()) == 1
+        assert not run_dir.exists()
+        assert dict(obs.snapshot()) == {}  # no search or cell counted anything
+
+    def test_ratio_one_searches_without_an_accuracy_axis(self, capsys):
+        argv = ["explore", "alexnet", *self.SPACE, "--ratios", "1", "--accuracy", "none"]
+        assert main(argv) == 0
+        assert "Pareto frontier" in capsys.readouterr().out
+
+
 class TestRunDirUsage:
     def test_run_dir_requires_sweepable_experiment(self, capsys, tmp_path):
         assert main(["run", "fig1", "--run-dir", str(tmp_path / "r")]) == 2

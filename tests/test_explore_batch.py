@@ -267,5 +267,5 @@ def test_serve_refuses_a_bad_space_without_making_a_job(tmp_path, space):
     doc = {"schema": JOB_SCHEMA, "verb": "explore", "network": "alexnet", "params": {"space": space}}
     status, body, _ = server.handle_request("POST", "/jobs", json.dumps(doc).encode())
     assert status == 400
-    assert body["error"] == "ConfigError"
+    assert (body["error"], body["field"]) == ("JobError", "space")
     assert server.store.list_ids() == []

@@ -198,6 +198,19 @@ class TestBreakdownResult:
         assert "OLAccel16 vs ZeNA16" in text
         assert "dram" in text
 
+    def test_headline_prints_a_signed_change(self):
+        # At ratio 1 OLAccel8 loses to ZeNA8: a cost increase prints "+",
+        # never the double sign of a negated reduction.
+        result = breakdown_experiment("alexnet", ratio=1.0)
+        headlines = [line for line in result.format().splitlines() if "vs ZeNA" in line]
+        assert len(headlines) == 2
+        assert not any("--" in line for line in headlines)
+        change = -result.reduction("olaccel8", "zena8") * 100
+        assert change > 0
+        assert headlines[1].startswith(f"OLAccel8  vs ZeNA8 : energy +{change:.1f}%")
+        # a saving keeps its minus sign, as at the default ratio
+        assert "OLAccel16 vs ZeNA16: energy -" in breakdown_experiment("alexnet").format()
+
 
 class TestReportFormatting:
     def test_format_table_alignment(self):
