@@ -401,8 +401,8 @@ class TestExploreRun:
 class TestReproducibility:
     def test_cold_warm_byte_identity(self, tmp_path):
         # Speed is not asserted here: the counters prove the warm run
-        # computed nothing, and the bench-smoke simcache_warm_sweep case
-        # gates how fast that replay is.
+        # computed nothing; CI's bench-smoke job gates the replay's speed
+        # through the simcache_warm_sweep case's speedup ratio.
         cache_dir = tmp_path / "cache"
         try:
             set_active(SimCache(root=cache_dir))
